@@ -6,14 +6,18 @@ elements, so complete factorizations of the first twelve Fermat numbers are
 what make exact order computation possible up to level 11.  The factor
 strings are embedded as data; every load path re-multiplies them and checks
 the product against 2^(2^j)+1, so a corrupted table cannot be used
-silently.  Beyond N_11 no complete factorization is known, and operations
-that need one fail with MissingFactorization.
+silently.  The builtin table is checked once per process; a factor file is
+checked on every load, and each of its factors must also pass Miller-Rabin.
+Beyond N_11 no complete factorization is known, and operations that need
+one fail with MissingFactorization.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
+from math import gcd
 
 from .bignat import BigNat, from_decimal
 from .errors import MissingFactorization, ParseError, ValidationError
@@ -111,19 +115,26 @@ def _make_entry(j: int, factors: list[BigNat]) -> FermatFactorization:
     return entry
 
 
-def builtin_factor_table() -> list[FermatFactorization]:
-    """The embedded table for j = 0..11, re-validated on every load."""
-    return [
+@cache
+def _builtin_entries() -> tuple[FermatFactorization, ...]:
+    return tuple(
         _make_entry(j, [from_decimal(s) for s in strings])
         for j, strings in sorted(_FACTOR_STRINGS.items())
-    ]
+    )
+
+
+def builtin_factor_table() -> list[FermatFactorization]:
+    """The embedded table for j = 0..11 (validated once per process), as a
+    fresh list of frozen entries."""
+    return list(_builtin_entries())
 
 
 def load_factor_table(source: str) -> list[FermatFactorization]:
     """Parse a factor-table text: one `N<j>: p1 p2 ...` entry per line.
 
     Blank lines and `#` comments are ignored; a duplicated level is a
-    grammar error, an arithmetically wrong entry a validation error.
+    grammar error, an arithmetically wrong entry or a composite factor a
+    validation error.
     """
     entries: dict[int, FermatFactorization] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -140,6 +151,9 @@ def load_factor_table(source: str) -> list[FermatFactorization]:
         if not parts:
             raise ParseError(f"line {lineno}: no factors for N{j}")
         entries[j] = _make_entry(j, [from_decimal(p) for p in parts])
+        composite = [p for p in entries[j].factors if not is_probable_prime(p)]
+        if composite:
+            raise ValidationError(f"N{j}: factor {composite[0]} is not prime")
     return [entries[j] for j in sorted(entries)]
 
 
@@ -154,12 +168,6 @@ def merge_tables(
 
 def _by_level(table: list[FermatFactorization]) -> dict[int, FermatFactorization]:
     return {e.j: e for e in table}
-
-
-def _gcd(a: BigNat, b: BigNat) -> BigNat:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def is_probable_prime(n: BigNat, rounds: int = 64, seed: int = 0) -> bool:
@@ -261,7 +269,7 @@ def validate(
         )
         if i >= 2:
             bad_j = [
-                j for j in range(1, i) if _gcd(fermat_number(i) + 1, fermat_number(j)) != 1
+                j for j in range(1, i) if gcd(fermat_number(i) + 1, fermat_number(j)) != 1
             ]
             report.add(
                 f"fermat.successor-coprime.i{i:02d}",

@@ -1,25 +1,24 @@
 """Multiplicative orders, primitivity, minimal subfield exponents, and the
 verification suites built on them.
 
-Everything here reduces to one primitive: given x with x^n = 1 and the
-factorization of n, strip each prime out of n for as long as the power
-stays trivial.  The same reduction, run against "lands in the subfield"
-instead of "equals one", yields the smallest exponent pushing an element
-down one tower level; chaining those minimal exponents from level i down
-to level 1 factors the order of a generator into one divisor of each
-Fermat number (the exponent set of a subfield condition is closed under
-gcd, which is what makes divisor-by-divisor descent sound).
+Orders follow the tower itself.  At level j the group order splits into
+coprime parts, 2^w - 1 = (2^(w/2) - 1) * N_j, so the order of x is the
+order of conj(x)/x, a divisor of N_j tested against N_j's few primes at
+exponents of about w/2 bits, times the order of the norm x*conj(x) one
+level down at half width.  Results are cached: the corollary sweep asks
+for the same handful of orders many times.
 
-Order computation uses a cofactor product tree so the whole prime set
-costs a few full-length exponentiations instead of one per prime; at level
-11 (4096-bit elements, 25 primes) that is the difference between minutes
-and the better part of an hour.  Results are cached: the corollary sweep
-asks for the same handful of orders many times.
+Minimal subfield exponents strip primes out of an exponent for as long as
+the power still lands in the subfield; chaining those minimal exponents
+from level i down to level 1 factors the order of a generator into one
+divisor of each Fermat number (the exponent set of a subfield condition is
+closed under gcd, which is what makes divisor-by-divisor descent sound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .bignat import BigNat
 from .errors import LevelError, MissingFactorization, NotAnExponent, ZeroElement
@@ -31,7 +30,7 @@ from .fermat import (
     group_order,
 )
 from .report import VerificationReport
-from .tower import TowerElement, generator, pow_values, width_of
+from .tower import TowerElement, generator, norm_split_values, pow_values, width_of
 
 _order_cache: dict[tuple[int, int, BigNat], FactoredOrder] = {}
 
@@ -47,38 +46,34 @@ def _entry(table: list[FermatFactorization], j: int) -> FermatFactorization:
     raise MissingFactorization(f"no complete factorization for N_{j}")
 
 
-def _pow_equals_one(v: int, n: BigNat, w: int) -> bool:
-    """Check v^n == 1; when n+1 is a power of two this is w squarings."""
-    if v == 0:
-        return False
-    if (n + 1) & n == 0 and (n + 1).bit_length() - 1 == w:
-        return pow_values(v, 1 << w, w) == v
-    return pow_values(v, n, w) == 1
-
-
 def _cofactor_powers(v: int, w: int, blocks: list[BigNat]) -> list[int]:
-    """[v^(B/b) for b in blocks], B = prod(blocks), via a product tree."""
+    """[v^(B/b) for b in blocks], B = prod(blocks), via a product tree
+    split where the bits balance, since each tree level costs about the bit
+    length of B: the 1872-bit prime of N_11 sits at depth 1."""
     if len(blocks) == 1:
         return [v]
-    mid = len(blocks) // 2
+    bits = [b.bit_length() for b in blocks]
+    mid = 1
+    while mid < len(blocks) - 1 and 2 * sum(bits[: mid + 1]) <= sum(bits):
+        mid += 1
     left, right = blocks[:mid], blocks[mid:]
-    prod_left = prod_right = 1
-    for b in left:
-        prod_left *= b
-    for b in right:
-        prod_right *= b
-    return _cofactor_powers(pow_values(v, prod_right, w), w, left) + _cofactor_powers(
-        pow_values(v, prod_left, w), w, right
+    return _cofactor_powers(pow_values(v, prod(right), w), w, left) + _cofactor_powers(
+        pow_values(v, prod(left), w), w, right
     )
 
 
 def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
     """Exact order of x given a factored exponent n with x^n = 1.
 
-    For each prime power p^e dividing n, the cofactor power z = x^(n/p^e)
-    has order p^a where a is the multiplicity of p in the order of x;
-    counting the p-power steps from z down to 1 recovers a.  The result o
-    satisfies x^o = 1 and x^(o/p) != 1 for every prime p dividing o.
+    Descends from x's level one norm at a time.  At level j, y = conj(x)/x
+    = x^(2^(w/2)-1) carries the part of the order that divides N_j: with
+    g the product of n's prime powers dividing N_j, each cofactor power
+    y^(g/p^e) has order p^a, a being p's multiplicity in the order, and
+    counting the p-power steps down to 1 recovers a.  x^n = 1 exactly when
+    y^g = 1 at every level, which is free when N_j divides g, so a prime
+    N_j costs no exponentiation.  The norm x*conj(x) = x^(N_j) carries the
+    rest; the descent stops once it is 1.  The result o satisfies x^o = 1
+    and x^(o/p) != 1 for every prime p dividing o.
     """
     if x.value == 0:
         raise ZeroElement("zero has no multiplicative order")
@@ -86,21 +81,28 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
     hit = _order_cache.get(key)
     if hit is not None:
         return hit
-    v, w = x.value, x.width
-    if not _pow_equals_one(v, n.value, w):
-        raise NotAnExponent(
-            "x^n != 1 for the claimed group order; wrong factor table or level"
-        )
-    blocks = [p**e for p, e in n.factors]
     multiplicities: dict[BigNat, int] = {}
-    for (p, e), z in zip(n.factors, _cofactor_powers(v, w, blocks)):
-        t = 0
-        while z != 1:
-            t += 1
-            if t == e:
-                break  # z^(p^(e-t)) = x^n = 1 is already known
-            z = pow_values(z, p, w)
-        multiplicities[p] = t
+    v, level = x.value, x.level
+    while v != 1:
+        w, n_j = width_of(level), fermat_number(level)
+        y, v = norm_split_values(v, w) if v >> (w >> 1) else (1, v)
+        level -= 1
+        if y == 1:
+            continue
+        blocks = [(p, e) for p, e in n.factors if n_j % p == 0]
+        g = prod(p**e for p, e in blocks)
+        if g % n_j and pow_values(y, g, w) != 1:
+            raise NotAnExponent(
+                "x^n != 1 for the claimed group order; wrong factor table or level"
+            )
+        for (p, e), z in zip(blocks, _cofactor_powers(y, w, [p**e for p, e in blocks])):
+            t = 0
+            while z != 1:
+                t += 1
+                if t == e:
+                    break  # z^(p^(e-t)) = y^g = 1 is already known
+                z = pow_values(z, p, w)
+            multiplicities[p] = t
     result = FactoredOrder.from_prime_powers(multiplicities)
     _order_cache[key] = result
     return result

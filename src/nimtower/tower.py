@@ -238,6 +238,16 @@ def pow_values(a: int, e: int, width: int) -> int:
     return _pow(a, e, max(width, 1))
 
 
+def norm_split_values(a: int, width: int) -> tuple[int, int]:
+    """(conj(a)/a, a*conj(a)) for nonzero a: a^(2^(w/2)-1), whose order
+    divides 2^(w/2)+1, and the norm a^(2^(w/2)+1), a half-width value."""
+    _ensure_tables()
+    half = width >> 1
+    ah, al = a >> half, a & ((1 << half) - 1)
+    norm = _mul_top(_square(ah, half), half) ^ _mul(ah, al, half) ^ _square(al, half)
+    return _mul((ah << half) ^ al ^ ah, _inv(a, width), width), norm
+
+
 def width_of(level: int) -> int:
     """Coefficient-vector length (bits) of a level: 2^(level+1)."""
     if level < -1:
@@ -355,14 +365,6 @@ class TowerElement:
         return TowerElement(self.level, _pow(self.value, e, self.width))
 
     __pow__ = pow
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TowerElement):
-            return self.level == other.level and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.value))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,17 @@ def test_factor_file_override(tmp_path, capsys):
     assert code == 1 and "ValidationError" in err
 
 
+def test_factor_file_composite_factor_exit_1(tmp_path, capsys):
+    # N5 = 641 * 6700417 passes the product and congruence checks as one factor
+    path = tmp_path / "composite.txt"
+    path.write_text("N5: 4294967297\n")
+    code, out, err = run(capsys, "order", "c5^641", "--factor-file", str(path))
+    assert code == 1 and out == ""
+    assert "ValidationError" in err and "4294967297 is not prime" in err
+    code, out, _ = run(capsys, "primitive", "c5^641*c0", "--factor-file", str(path))
+    assert code == 1 and out == ""
+
+
 def test_nim_mul(capsys):
     code, out, _ = run(capsys, "nim-mul", "16", "16")
     assert code == 0 and out == "24\n"

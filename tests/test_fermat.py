@@ -1,5 +1,7 @@
 """Tests for Fermat numbers, factor tables, and factored group orders."""
 
+import math
+
 import pytest
 
 from nimtower import fermat
@@ -55,6 +57,24 @@ def test_load_factor_table():
 def test_load_rejects_bad_product():
     with pytest.raises(ValidationError):
         load_factor_table("N5: 641 6700418")
+
+
+def test_load_rejects_composite_factor():
+    # 4294967297 = 641 * 6700417 multiplies out and is 1 mod 2^7
+    with pytest.raises(ValidationError, match="not prime"):
+        load_factor_table("N5: 4294967297")
+    with pytest.raises(ValidationError, match="not prime"):
+        load_factor_table("N6: 274177 67280421310721\nN5: 4294967297")
+
+
+def test_builtin_table_is_fresh_list_of_shared_entries():
+    first = fermat.builtin_factor_table()
+    first.pop()
+    first[0] = FermatFactorization(0, (1, 3))
+    second = fermat.builtin_factor_table()
+    assert [e.j for e in second] == list(range(12))
+    assert second[0].factors == (3,)
+    assert second[5] is fermat.builtin_factor_table()[5]
 
 
 def test_load_rejects_grammar_violations():
@@ -131,11 +151,9 @@ def test_recurrence_identity():
 
 
 def test_successor_coprimality():
-    from nimtower.fermat import _gcd
-
     for i in range(2, 12):
         for j in range(1, i):
-            assert _gcd(fermat_number(i) + 1, fermat_number(j)) == 1
+            assert math.gcd(fermat_number(i) + 1, fermat_number(j)) == 1
 
 
 def test_group_order(table):

@@ -1,8 +1,9 @@
 """Tests for the order engine and the verification suites.
 
 Small-group results are cross-checked against a brute-force order oracle
-(repeated multiplication) and against the literal per-prime reduction loop,
-so the production cofactor-tree path never certifies itself.
+(repeated multiplication) and against the literal per-prime reduction loop
+over full-width powers, so the production norm/conjugate descent never
+certifies itself.
 """
 
 import random
@@ -118,6 +119,54 @@ def test_order_handles_multiplicities():
     assert multiplicative_order(c0, n).value == 3
     c1 = generator("c", 1, 1)
     assert multiplicative_order(c1, n).value == 15
+
+
+def _structured(level):
+    """c_i, a_i, c_i*c_0 and a_i*a_0 at level i."""
+    c, a = generator("c", level, level), generator("a", level, level)
+    return [c, a, c.mul(generator("c", 0, level)), a.mul(generator("a", 0, level))]
+
+
+@pytest.mark.parametrize("level", [5, 6, 7, 8])
+def test_descent_matches_spec_reduction_structured(table, level):
+    n = group_order(level, table)
+    elements = _structured(level)
+    if level == 8:
+        # the reference costs ~13 full-width powers per element here, so
+        # level 8 takes one element of each family: c_8 and a_8*a_0
+        elements = elements[0::3]
+    for x in elements:
+        assert multiplicative_order(x, n).value == spec_reduction_order(x, n), x
+
+
+def test_descent_matches_spec_reduction_random(table):
+    for level in (5, 6, 7):
+        n = group_order(level, table)
+        for seed in range(2):
+            x = tower.random_element(level, 1000 + seed)
+            assert multiplicative_order(x, n).value == spec_reduction_order(x, n), x
+
+
+def test_descent_certificate(table):
+    for level in (5, 6, 7):
+        n = group_order(level, table)
+        elements = [tower.random_element(level, 2000 + seed) for seed in range(2)]
+        elements.append(tower.random_element(level - 2, 7).lift(level))
+        for x in elements:
+            o = multiplicative_order(x, n)
+            assert x.pow(o.value).value == 1
+            for p, _ in o.factors:
+                assert x.pow(o.value // p).value != 1, (x, p)
+
+
+def test_descent_not_an_exponent_for_lower_level_prime(table):
+    # N_3 = 257 is prime; drop it from the order of L_4*
+    n = group_order(4, table)
+    without = FactoredOrder(n.value // 257, tuple(f for f in n.factors if f[0] != 257))
+    with pytest.raises(NotAnExponent):
+        multiplicative_order(generator("c", 4, 4), without)
+    # c_2 has order 5 * 17, so the missing prime does not matter for it
+    assert multiplicative_order(generator("c", 2, 2).lift(4), without).value == 85
 
 
 # -- is_primitive --------------------------------------------------------------
