@@ -78,8 +78,8 @@ def _plan_tasks(target: str, level: int | None, max_level: int | None, table):
     it); defaults are level 8 for the identity/membership families and 11
     for the quotient-check/corollary families.  For `all`, --level acts as
     --max-level, the default ceiling is 8, and the identity/membership
-    sweeps stay capped at 8 regardless (their high levels dominate runtime
-    without adding coverage the dedicated families cannot reach).
+    sweeps stay capped at 8 regardless (the dedicated families reach the
+    higher levels).
     """
 
     def span(lo: int, cap: int) -> range:
@@ -200,9 +200,20 @@ def _cmd_factors(args) -> int:
     return _emit_report(report)
 
 
-def _cmd_nim_mul(args) -> int:
-    from .bignat import parse_nat
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
+
+def parse_nat(s: str) -> int:
+    """Parse a natural number: decimal, or hex with a 0x prefix."""
+    if s[:2].lower() == "0x":
+        digits = s[2:]
+        if not digits or any(ch not in _HEX_DIGITS for ch in digits):
+            raise ParseError(f"not a hex natural number: {s!r}")
+        return int(digits, 16)
+    return fermat.from_decimal(s)
+
+
+def _cmd_nim_mul(args) -> int:
     a = parse_nat(args.a)
     b = parse_nat(args.b)
     result = oracle.nim_mul_rec(a, b)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bignat import BigNat, divrem
-from .errors import ExactDivError, ParseError
+from .errors import DivideByZero, ExactDivError, ParseError
 from .fermat import fermat_number
 from .tower import TowerElement, generator, _min_level_for
 
@@ -66,7 +65,7 @@ class HexAtom:
 # Exponent nodes.
 @dataclass(frozen=True)
 class IntLit:
-    value: BigNat
+    value: int
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,14 @@ def infer_level(ast) -> int:
     return max(levels)
 
 
-def eval_int(node) -> BigNat:
+def divrem(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder with a = q*b + r, 0 <= r < b."""
+    if b == 0:
+        raise DivideByZero("division by zero")
+    return divmod(a, b)
+
+
+def eval_int(node) -> int:
     if isinstance(node, IntLit):
         return node.value
     if isinstance(node, FermatRef):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
-from .bignat import BigNat, from_decimal
 from .errors import MissingFactorization, ParseError, ValidationError
 from .report import VerificationReport
 
@@ -72,8 +71,17 @@ _FACTOR_STRINGS: dict[int, tuple[str, ...]] = {
 
 BUILTIN_MAX_LEVEL = max(_FACTOR_STRINGS)
 
+_DECIMAL_DIGITS = frozenset("0123456789")
 
-def fermat_number(j: int) -> BigNat:
+
+def from_decimal(s: str) -> int:
+    """Parse a decimal digit string; leading zeros are canonicalized away."""
+    if not s or any(ch not in _DECIMAL_DIGITS for ch in s):
+        raise ParseError(f"not a decimal natural number: {s!r}")
+    return int(s, 10)
+
+
+def fermat_number(j: int) -> int:
     """N_j = 2^(2^j) + 1."""
     if j < 0:
         raise ValueError(f"Fermat index must be >= 0, got {j}")
@@ -85,7 +93,7 @@ class FermatFactorization:
     """Level index j plus the claimed prime factors of N_j, ascending."""
 
     j: int
-    factors: tuple[BigNat, ...]
+    factors: tuple[int, ...]
 
     def check(self) -> None:
         """Raise ValidationError unless the entry is internally consistent."""
@@ -109,7 +117,7 @@ class FermatFactorization:
                     )
 
 
-def _make_entry(j: int, factors: list[BigNat]) -> FermatFactorization:
+def _make_entry(j: int, factors: list[int]) -> FermatFactorization:
     entry = FermatFactorization(j, tuple(sorted(factors)))
     entry.check()
     return entry
@@ -166,11 +174,15 @@ def merge_tables(
     return [merged[j] for j in sorted(merged)]
 
 
-def _by_level(table: list[FermatFactorization]) -> dict[int, FermatFactorization]:
-    return {e.j: e for e in table}
+def factorization(table: list[FermatFactorization], j: int) -> FermatFactorization:
+    """The table's entry for N_j; MissingFactorization if it has none."""
+    for entry in table:
+        if entry.j == j:
+            return entry
+    raise MissingFactorization(f"no complete factorization for N_{j}")
 
 
-def is_probable_prime(n: BigNat, rounds: int = 64, seed: int = 0) -> bool:
+def is_probable_prime(n: int, rounds: int = 64, seed: int = 0) -> bool:
     """Miller-Rabin with `rounds` deterministically seeded bases."""
     if n < 2:
         return False
@@ -214,7 +226,7 @@ def validate(
     optionally Miller-Rabin primality of every factor.
     """
     report = VerificationReport()
-    seen: dict[BigNat, int] = {}
+    seen: dict[int, int] = {}
     duplicates: list[str] = []
     for entry in table:
         j = entry.j
@@ -255,8 +267,7 @@ def validate(
         "no prime occurs at two levels" + (f"; {duplicates}" if duplicates else ""),
     )
 
-    levels = sorted(_by_level(table))
-    for i in levels:
+    for i in sorted({e.j for e in table}):
         if i < 1:
             continue
         product = 1
@@ -284,8 +295,8 @@ def validate(
 class FactoredOrder:
     """A positive integer carried together with its prime factorization."""
 
-    value: BigNat
-    factors: tuple[tuple[BigNat, int], ...]
+    value: int
+    factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         product = 1
@@ -298,7 +309,7 @@ class FactoredOrder:
             raise ValidationError("factors must be strictly increasing primes")
 
     @classmethod
-    def from_prime_powers(cls, pairs: dict[BigNat, int]) -> "FactoredOrder":
+    def from_prime_powers(cls, pairs: dict[int, int]) -> "FactoredOrder":
         value = 1
         for p, e in pairs.items():
             value *= p**e
@@ -316,11 +327,8 @@ def group_order(i: int, table: list[FermatFactorization]) -> FactoredOrder:
     """The factored order N_0 * ... * N_i of the level-i multiplicative group."""
     if i < 0:
         raise ValueError(f"level must be >= 0, got {i}")
-    entries = _by_level(table)
-    powers: dict[BigNat, int] = {}
+    powers: dict[int, int] = {}
     for j in range(i + 1):
-        if j not in entries:
-            raise MissingFactorization(f"no complete factorization for N_{j}")
-        for p in entries[j].factors:
+        for p in factorization(table, j).factors:
             powers[p] = powers.get(p, 0) + 1
     return FactoredOrder.from_prime_powers(powers)

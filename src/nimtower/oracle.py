@@ -57,7 +57,7 @@ def _build_mex_table() -> np.ndarray:
     return t
 
 
-def _mex(a: int, b: int) -> np.ndarray:
+def _mex() -> np.ndarray:
     global _mex_table
     if _mex_table is None:
         with _lock:
@@ -72,7 +72,7 @@ def nim_mul_mex(a: int, b: int) -> int:
         raise OutOfOracleRange(
             f"mex oracle covers values below {MEX_ORACLE_BOUND}, got {a}, {b}"
         )
-    return int(_mex(a, b)[a, b])
+    return int(_mex()[a, b])
 
 
 def _build_rec_table() -> list[list[int]]:

@@ -8,11 +8,14 @@ exponents of about w/2 bits, times the order of the norm x*conj(x) one
 level down at half width.  Results are cached: the corollary sweep asks
 for the same handful of orders many times.
 
-Minimal subfield exponents strip primes out of an exponent for as long as
-the power still lands in the subfield; chaining those minimal exponents
-from level i down to level 1 factors the order of a generator into one
-divisor of each Fermat number (the exponent set of a subfield condition is
-closed under gcd, which is what makes divisor-by-divisor descent sound).
+Every subfield question is answered by the same two facts.  conj fixes
+exactly L_(j-1), so x^d lies one level down exactly when (conj(x)/x)^d = 1:
+the smallest such d is the order of conj(x)/x, a divisor of N_j, and
+c_j^(N_j/p) lies outside L_(j-1) exactly when (conj(c_j)/c_j)^(N_j/p) != 1.
+And x^(N_j) is the norm x*conj(x), so a power by N_j * N_(j-1) * ... is a
+chain of norms, one level down per factor.  Minimal exponents, alpha
+chains and the quotient checks share the descent's per-level step; the
+identity and membership suites walk the norm chain.
 """
 
 from __future__ import annotations
@@ -20,33 +23,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .bignat import BigNat
-from .errors import LevelError, MissingFactorization, NotAnExponent, ZeroElement
+from .errors import LevelError, NotAnExponent, ZeroElement
 from .fermat import (
     FactoredOrder,
     FermatFactorization,
     builtin_factor_table,
+    factorization,
     fermat_number,
     group_order,
 )
 from .report import VerificationReport
-from .tower import TowerElement, generator, norm_split_values, pow_values, width_of
+from .tower import (
+    TowerElement,
+    generator,
+    norm_split_values,
+    norm_value,
+    pow_values,
+    width_of,
+)
 
-_order_cache: dict[tuple[int, int, BigNat], FactoredOrder] = {}
+_order_cache: dict[tuple[int, int, int], FactoredOrder] = {}
 
 
 def _table_or_builtin(table):
     return builtin_factor_table() if table is None else table
 
 
-def _entry(table: list[FermatFactorization], j: int) -> FermatFactorization:
-    for e in table:
-        if e.j == j:
-            return e
-    raise MissingFactorization(f"no complete factorization for N_{j}")
-
-
-def _cofactor_powers(v: int, w: int, blocks: list[BigNat]) -> list[int]:
+def _cofactor_powers(v: int, w: int, blocks: list[int]) -> list[int]:
     """[v^(B/b) for b in blocks], B = prod(blocks), via a product tree
     split where the bits balance, since each tree level costs about the bit
     length of B: the 1872-bit prime of N_11 sits at depth 1."""
@@ -60,6 +63,56 @@ def _cofactor_powers(v: int, w: int, blocks: list[BigNat]) -> list[int]:
     return _cofactor_powers(pow_values(v, prod(right), w), w, left) + _cofactor_powers(
         pow_values(v, prod(left), w), w, right
     )
+
+
+def _level_step(
+    v: int, level: int, factors: list[tuple[int, int]]
+) -> tuple[int, dict[int, int]]:
+    """One step of the descent for nonzero v in L_level.
+
+    Returns the norm v*conj(v) = v^(N_level), which lies one level down,
+    and the multiplicity in the order of y = conj(v)/v of each prime p of
+    `factors`, prime powers (p, e) dividing N_level with product g: each
+    cofactor power y^(g/p^e) has order p^a, and counting the p-power steps
+    down to 1 recovers a.  Raises NotAnExponent unless y^g = 1, which is
+    free when N_level divides g.
+    """
+    w = width_of(level)
+    y, norm = norm_split_values(v, w)
+    if y == 1:
+        return norm, {}
+    g = prod(p**e for p, e in factors)
+    if g % fermat_number(level) and pow_values(y, g, w) != 1:
+        raise NotAnExponent(
+            "x^n != 1 for the claimed group order; wrong factor table or level"
+        )
+    multiplicities = {}
+    for (p, e), z in zip(factors, _cofactor_powers(y, w, [p**e for p, e in factors])):
+        t = 0
+        while z != 1:
+            t += 1
+            if t == e:
+                break  # z^(p^(e-t)) = y^g = 1 is already known
+            z = pow_values(z, p, w)
+        multiplicities[p] = t
+    return norm, multiplicities
+
+
+def _down_step(v: int, entry: FermatFactorization) -> tuple[int, int]:
+    """(v^(N_j), d) for nonzero v in L_j, j = entry.j: the norm, and the
+    smallest d > 0 with v^d in L_(j-1), which is the order of conj(v)/v."""
+    norm, found = _level_step(v, entry.j, [(p, 1) for p in entry.factors])
+    return norm, prod(p**t for p, t in found.items())
+
+
+def _norm_chain(v: int, level: int, steps: int) -> list[int]:
+    """[v^(N_level), v^(N_level*N_(level-1)), ...], `steps` values, each
+    the norm of the one before, from L_j into L_(j-1)."""
+    chain = []
+    for j in range(level, level - steps, -1):
+        v = norm_value(v, width_of(j))
+        chain.append(v)
+    return chain
 
 
 def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
@@ -81,28 +134,13 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
     hit = _order_cache.get(key)
     if hit is not None:
         return hit
-    multiplicities: dict[BigNat, int] = {}
+    multiplicities: dict[int, int] = {}
     v, level = x.value, x.level
     while v != 1:
-        w, n_j = width_of(level), fermat_number(level)
-        y, v = norm_split_values(v, w) if v >> (w >> 1) else (1, v)
+        n_j = fermat_number(level)
+        v, found = _level_step(v, level, [(p, e) for p, e in n.factors if n_j % p == 0])
+        multiplicities.update(found)
         level -= 1
-        if y == 1:
-            continue
-        blocks = [(p, e) for p, e in n.factors if n_j % p == 0]
-        g = prod(p**e for p, e in blocks)
-        if g % n_j and pow_values(y, g, w) != 1:
-            raise NotAnExponent(
-                "x^n != 1 for the claimed group order; wrong factor table or level"
-            )
-        for (p, e), z in zip(blocks, _cofactor_powers(y, w, [p**e for p, e in blocks])):
-            t = 0
-            while z != 1:
-                t += 1
-                if t == e:
-                    break  # z^(p^(e-t)) = y^g = 1 is already known
-                z = pow_values(z, p, w)
-            multiplicities[p] = t
     result = FactoredOrder.from_prime_powers(multiplicities)
     _order_cache[key] = result
     return result
@@ -110,7 +148,7 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
 
 def is_primitive(
     x: TowerElement, table: list[FermatFactorization] | None = None
-) -> tuple[bool, BigNat]:
+) -> tuple[bool, int]:
     """Whether x generates the whole multiplicative group, plus its index."""
     if x.value == 0:
         raise ZeroElement("zero is not a group element")
@@ -122,44 +160,15 @@ def is_primitive(
     return index == 1, index
 
 
-def _smallest_exponent_into_subfield(
-    v: int, w: int, sub_w: int, n_value: BigNat, n_factors
-) -> BigNat:
-    """Smallest divisor d of n_value with v^d in the subfield of width sub_w.
-
-    Requires v^n_value to land in the subfield; the divisor-reduction is
-    valid because the exponents that reach the subfield are exactly the
-    multiples of the minimal one.
-    """
-    if pow_values(v, n_value, w) >> sub_w:
-        raise NotAnExponent(
-            "power by the full quotient-group order does not reach the subfield"
-        )
-    o = n_value
-    for p, e in n_factors:
-        for _ in range(e):
-            if o % p:
-                break
-            cand = o // p
-            if pow_values(v, cand, w) >> sub_w == 0:
-                o = cand
-            else:
-                break
-    return o
-
-
 def minimal_subfield_exponent(
     j: int, table: list[FermatFactorization] | None = None
-) -> BigNat:
-    """Smallest d > 0 with c_j^d one level down, reduced over divisors of N_j."""
+) -> int:
+    """Smallest d > 0 with c_j^d one level down: the order of
+    conj(c_j)/c_j, a divisor of N_j."""
     if j < 1:
         raise LevelError(f"minimal subfield exponent needs j >= 1, got {j}")
-    entry = _entry(_table_or_builtin(table), j)
-    v = 1 << (1 << j)  # c_j
-    d = _smallest_exponent_into_subfield(
-        v, width_of(j), width_of(j - 1), fermat_number(j), [(p, 1) for p in entry.factors]
-    )
-    return d
+    entry = factorization(_table_or_builtin(table), j)
+    return _down_step(generator("c", j, j).value, entry)[1]
 
 
 @dataclass(frozen=True)
@@ -169,10 +178,10 @@ class AlphaChain:
 
     i: int
     base: str
-    alphas: tuple[BigNat, ...]
+    alphas: tuple[int, ...]
 
     @property
-    def product(self) -> BigNat:
+    def product(self) -> int:
         out = 1
         for a in self.alphas:
             out *= a
@@ -186,31 +195,27 @@ def alpha_chain(
 
     α_i is the smallest exponent sending the base element into level i-1;
     each later α_m is the smallest exponent sending the accumulated power
-    from level m into level m-1, reduced over the divisors of N_m.  The
-    final accumulated power must be 1, which is checked.
+    from level m into level m-1, the order of its conj(v)/v, a divisor of
+    N_m.  When α_m = N_m the next power is the step's norm.  The final
+    accumulated power must be 1, which is checked.
     """
     if base not in ("c", "a"):
         raise ValueError(f"base must be 'c' or 'a', got {base!r}")
     if i < 2:
         raise LevelError(f"alpha chains need level >= 2, got {i}")
     tab = _table_or_builtin(table)
-    entries = {m: _entry(tab, m) for m in range(1, i + 1)}
+    entries = {m: factorization(tab, m) for m in range(1, i + 1)}
     v = generator(base, i, i).value
-    w = width_of(i)
-    alphas: list[BigNat] = []
+    alphas: list[int] = []
     for m in range(i, 0, -1):
-        sub_w = width_of(m - 1)
-        alpha = _smallest_exponent_into_subfield(
-            v, w, sub_w, fermat_number(m), [(p, 1) for p in entries[m].factors]
-        )
+        norm, alpha = _down_step(v, entries[m])
         if alpha <= 1:
             raise NotAnExponent(
                 f"step at level {m} degenerated: accumulated power was already "
                 f"in the subfield"
             )
         alphas.append(alpha)
-        v = pow_values(v, alpha, w)
-        w = sub_w  # the power now lives one level down
+        v = norm if alpha == fermat_number(m) else pow_values(v, alpha, width_of(m))
     if v != 1:
         raise NotAnExponent("alpha chain did not terminate at 1")
     return AlphaChain(i, base, tuple(alphas))
@@ -241,8 +246,12 @@ def verify_identities(
     a_i^(N_i) = a_{i-1}^(N_i + 1).  Their iterated forms, for k up to
     k_max: raising c_i (resp. a_i) to N_i * N_{i-1} * ... * N_{i-k} equals
     a_{i-k-1} raised to the product of (N_{i-j} + 1) for j = 1..k
-    (resp. 0..k), the empty product being 1.  The `base` and `iterated`
-    switches let a runner emit just one of the two families.
+    (resp. 0..k), the empty product being 1.  The left sides are the norm
+    chains of c_i and a_i, one half-width norm per factor.  The right sides
+    are powers of a_{i-k-1}, whose exponents reduce to 3^k and 3^(k+1)
+    modulo the order of its group, since every N_m + 1 there is 3 modulo
+    it.  The `base` and `iterated` switches let a runner emit just one of
+    the two families.
     """
     if i < 1:
         raise LevelError(f"identities need level >= 1, got {i}")
@@ -252,43 +261,33 @@ def verify_identities(
         raise LevelError(f"k_max must lie in 0..{i - 1}, got {k_max}")
     report = VerificationReport()
     n_i = fermat_number(i)
-    c_i, a_i = _cgen(i), _agen(i)
-    a_prev_value = _agen(i - 1).value if i >= 1 else 1
+    steps = k_max + 1 if iterated else 1
+    c_chain = _norm_chain(_cgen(i).value, i, steps)
+    a_chain = _norm_chain(_agen(i).value, i, steps)
+    a_prev_value = _agen(i - 1).value
 
     if base:
-        lhs1 = pow_values(c_i.value, n_i, c_i.width)
         report.add(
-            f"lemma5.eq1.i{i:02d}", lhs1 == a_prev_value, f"c_{i}^(N_{i}) = a_{i - 1}"
+            f"lemma5.eq1.i{i:02d}", c_chain[0] == a_prev_value, f"c_{i}^(N_{i}) = a_{i - 1}"
         )
-        lhs2 = pow_values(a_i.value, n_i, a_i.width)
         rhs2 = pow_values(a_prev_value, n_i + 1, width_of(i - 1))
         report.add(
             f"lemma5.eq2.i{i:02d}",
-            lhs2 == rhs2,
+            a_chain[0] == rhs2,
             f"a_{i}^(N_{i}) = a_{i - 1}^(N_{i}+1)",
         )
 
     for k in range(k_max + 1) if iterated else ():
-        e_lhs = 1
-        for j in range(k + 1):
-            e_lhs *= fermat_number(i - j)
-        e3 = 1
-        for j in range(1, k + 1):
-            e3 *= fermat_number(i - j) + 1
-        e4 = e3 * (n_i + 1)
+        e3 = prod(fermat_number(i - j) + 1 for j in range(1, k + 1))
         target = _agen(i - k - 1)
-        lhs3 = pow_values(c_i.value, e_lhs, c_i.width)
-        rhs3 = pow_values(target.value, e3, target.width)
         report.add(
             f"lemma6.eq3.i{i:02d}.k{k}",
-            lhs3 == rhs3,
+            c_chain[k] == pow_values(target.value, e3, target.width),
             f"c_{i}^({_exp_name(i, k)}) = a_{i - k - 1}^(prod (N+1), j=1..{k})",
         )
-        lhs4 = pow_values(a_i.value, e_lhs, a_i.width)
-        rhs4 = pow_values(target.value, e4, target.width)
         report.add(
             f"lemma6.eq4.i{i:02d}.k{k}",
-            lhs4 == rhs4,
+            a_chain[k] == pow_values(target.value, e3 * (n_i + 1), target.width),
             f"a_{i}^({_exp_name(i, k)}) = a_{i - k - 1}^(prod (N+1), j=0..{k})",
         )
     return report
@@ -300,7 +299,9 @@ def verify_membership(theorem: int, i: int) -> VerificationReport:
     For k = 0..i-2 the power by N_i * ... * N_{i-k} must land in level
     i-k-1 but not in level i-k-2.  At k = i-1 the power degenerates to 1
     (the exponent picks up N_1 + 1 = 6, a multiple of the order of a_0),
-    which is recorded as its own check.
+    which is recorded as its own check.  The powers are the norm chain of
+    the base element, one half-width norm per level, and each is tested
+    by its coefficient bits.
     """
     if theorem not in (1, 2):
         raise ValueError(f"theorem must be 1 or 2, got {theorem}")
@@ -309,10 +310,7 @@ def verify_membership(theorem: int, i: int) -> VerificationReport:
     report = VerificationReport()
     base = _cgen(i) if theorem == 1 else _agen(i)
     name = "c" if theorem == 1 else "a"
-    w = base.width
-    power = base.value
-    for k in range(i):
-        power = pow_values(power, fermat_number(i - k), w)
+    for k, power in enumerate(_norm_chain(base.value, i, i)):
         if k <= i - 2:
             inside = power >> width_of(i - k - 1) == 0
             above = power >> width_of(i - k - 2) != 0
@@ -330,7 +328,7 @@ def verify_membership(theorem: int, i: int) -> VerificationReport:
     return report
 
 
-def _abbrev(p: BigNat) -> str:
+def _abbrev(p: int) -> str:
     s = str(p)
     return s if len(s) <= 24 else f"{s[:12]}...({len(s)} digits)"
 
@@ -340,27 +338,21 @@ def verify_thm5(j: int, table: list[FermatFactorization] | None = None) -> Verif
 
     c_j^(N_j) must equal a_{j-1}, and for every prime p dividing N_j the
     power c_j^(N_j/p) must stay outside level j-1; together these make N_j
-    the smallest exponent sending c_j down one level.
+    the smallest exponent sending c_j down one level.  One descent step
+    answers both: c_j^(N_j) is the norm of c_j, and c_j^(N_j/p) lies
+    outside L_{j-1} exactly when (conj(c_j)/c_j)^(N_j/p) != 1, that is
+    when p divides the order of conj(c_j)/c_j.
     """
     if j < 1:
         raise LevelError(f"quotient checks need level >= 1, got {j}")
-    entry = _entry(_table_or_builtin(table), j)
+    entry = factorization(_table_or_builtin(table), j)
     report = VerificationReport()
-    n_j = fermat_number(j)
-    v = 1 << (1 << j)  # c_j
-    w = width_of(j)
-    sub_w = width_of(j - 1)
-    landed = pow_values(v, n_j, w)
-    report.add(
-        f"thm5.j{j:02d}.eq1",
-        landed == 1 << (sub_w - 1),
-        f"c_{j}^(N_{j}) = a_{j - 1}",
-    )
+    norm, d = _down_step(_cgen(j).value, entry)
+    report.add(f"thm5.j{j:02d}.eq1", norm == _agen(j - 1).value, f"c_{j}^(N_{j}) = a_{j - 1}")
     for idx, p in enumerate(entry.factors):
-        outside = pow_values(v, n_j // p, w) >> sub_w != 0
         report.add(
             f"thm5.j{j:02d}.q{idx}",
-            outside,
+            d % p == 0,
             f"c_{j}^(N_{j}/{_abbrev(p)}) not in L_{j - 1}",
         )
     return report

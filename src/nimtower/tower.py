@@ -176,6 +176,13 @@ def _square(a: int, w: int) -> int:
     return (hh << half) ^ _mul_top(hh, half) ^ _square(a & ((1 << half) - 1), half)
 
 
+def _norm(a: int, w: int) -> int:
+    """a*conj(a) = a^(2^(w/2)+1), which lies in the half-width subfield."""
+    half = w >> 1
+    ah, al = a >> half, a & ((1 << half) - 1)
+    return _mul_top(_square(ah, half), half) ^ _mul(ah, al, half) ^ _square(al, half)
+
+
 def _inv(a: int, w: int) -> int:
     if w <= LOG_TABLE_BITS:
         if a == 1:
@@ -186,8 +193,7 @@ def _inv(a: int, w: int) -> int:
     al = a & ((1 << half) - 1)
     if ah == 0:
         return _inv(al, half)
-    norm = _mul_top(_square(ah, half), half) ^ _mul(ah, al, half) ^ _square(al, half)
-    ninv = _inv(norm, half)
+    ninv = _inv(_norm(a, w), half)
     return (_mul(ah, ninv, half) << half) ^ _mul(ah ^ al, ninv, half)
 
 
@@ -196,9 +202,15 @@ _POW_WINDOW_THRESHOLD = 64
 
 
 def _pow(a: int, e: int, w: int) -> int:
-    """Left-to-right square-and-multiply (4-bit digits for long exponents)."""
+    """Left-to-right square-and-multiply (4-bit digits for long exponents).
+
+    A nonzero base has an order dividing 2^w - 1, so e is reduced modulo
+    it first; 0^e is 0 for e > 0."""
+    if a == 0:
+        return 0 if e else 1
+    e %= (1 << w) - 1
     if e == 0 or a == 1:
-        return 1 if e == 0 else a
+        return 1
     bits = e.bit_length()
     if bits <= _POW_WINDOW_THRESHOLD:
         r = a
@@ -238,14 +250,22 @@ def pow_values(a: int, e: int, width: int) -> int:
     return _pow(a, e, max(width, 1))
 
 
+def norm_value(a: int, width: int) -> int:
+    """The norm a*conj(a) = a^(2^(w/2)+1), a half-width value."""
+    _ensure_tables()
+    return _norm(a, width)
+
+
 def norm_split_values(a: int, width: int) -> tuple[int, int]:
     """(conj(a)/a, a*conj(a)) for nonzero a: a^(2^(w/2)-1), whose order
-    divides 2^(w/2)+1, and the norm a^(2^(w/2)+1), a half-width value."""
+    divides 2^(w/2)+1, and the norm a^(2^(w/2)+1), a half-width value.
+    conj(a)/a is computed as conj(a)^2/norm, so only the norm is inverted."""
     _ensure_tables()
     half = width >> 1
-    ah, al = a >> half, a & ((1 << half) - 1)
-    norm = _mul_top(_square(ah, half), half) ^ _mul(ah, al, half) ^ _square(al, half)
-    return _mul((ah << half) ^ al ^ ah, _inv(a, width), width), norm
+    if a >> half == 0:
+        return 1, _square(a, half)
+    norm = _norm(a, width)
+    return _mul(_square(a ^ (a >> half), width), _inv(norm, half), width), norm
 
 
 def width_of(level: int) -> int:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from nimtower.cli import main
+from nimtower.cli import main, parse_nat
+from nimtower.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -93,6 +94,16 @@ def test_factor_file_composite_factor_exit_1(tmp_path, capsys):
     assert "ValidationError" in err and "4294967297 is not prime" in err
     code, out, _ = run(capsys, "primitive", "c5^641*c0", "--factor-file", str(path))
     assert code == 1 and out == ""
+
+
+def test_parse_nat_hex_convenience():
+    assert parse_nat("0x20") == 32
+    assert parse_nat("0XfF") == 255
+    assert parse_nat("255") == 255
+    with pytest.raises(ParseError):
+        parse_nat("0x")
+    with pytest.raises(ParseError):
+        parse_nat("0xg1")
 
 
 def test_nim_mul(capsys):

@@ -1,5 +1,7 @@
 """Tests for the element-expression parser and evaluator."""
 
+import random
+
 import pytest
 
 from nimtower import expr
@@ -21,10 +23,31 @@ from nimtower.expr import (
     Pow,
     Prod,
     Sum,
+    divrem,
     evaluate,
     eval_int,
     parse_expr,
 )
+
+
+P62 = 93461639715357977769163558199606896584051237541638188580280321
+
+
+def test_divrem():
+    assert divrem(4294967297, 641) == (6700417, 0)
+    assert divrem(7, 2) == (3, 1)
+    assert divrem((1 << 256) + 1, 1238926361552897) == (P62, 0)
+    with pytest.raises(DivideByZero):
+        divrem(5, 0)
+
+
+def test_divrem_inverts_mul_property():
+    rng = random.Random(2024)
+    for _ in range(200):
+        a = rng.getrandbits(512)
+        b = rng.getrandbits(512) | 1
+        r = rng.randrange(b)
+        assert divrem(a * b + r, b) == (a, r)
 
 
 def test_parse_product():

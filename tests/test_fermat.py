@@ -7,15 +7,36 @@ import pytest
 from nimtower import fermat
 from nimtower.errors import MissingFactorization, ParseError, ValidationError
 from nimtower.fermat import (
+    _FACTOR_STRINGS,
     FactoredOrder,
     FermatFactorization,
+    factorization,
     fermat_number,
+    from_decimal,
     group_order,
     is_probable_prime,
     load_factor_table,
     merge_tables,
     validate,
 )
+
+
+def test_from_decimal():
+    assert from_decimal("641") == 641
+    assert from_decimal("000") == 0
+    assert from_decimal("65537") == 65537
+
+
+@pytest.mark.parametrize("bad", ["", "12a", "-5", " 3", "0x10", "6 41"])
+def test_from_decimal_rejects(bad):
+    with pytest.raises(ParseError):
+        from_decimal(bad)
+
+
+def test_roundtrip_on_factor_strings():
+    for strings in _FACTOR_STRINGS.values():
+        for s in strings:
+            assert str(from_decimal(s)) == s
 
 
 def test_fermat_number_values():
@@ -154,6 +175,14 @@ def test_successor_coprimality():
     for i in range(2, 12):
         for j in range(1, i):
             assert math.gcd(fermat_number(i) + 1, fermat_number(j)) == 1
+
+
+def test_factorization_lookup(table):
+    assert factorization(table, 5).factors == (641, 6700417)
+    with pytest.raises(MissingFactorization, match="N_12"):
+        factorization(table, 12)
+    with pytest.raises(MissingFactorization, match="N_1$"):
+        group_order(2, [FermatFactorization(0, (3,)), FermatFactorization(2, (17,))])
 
 
 def test_group_order(table):

@@ -3,7 +3,10 @@
 Small-group results are cross-checked against a brute-force order oracle
 (repeated multiplication) and against the literal per-prime reduction loop
 over full-width powers, so the production norm/conjugate descent never
-certifies itself.
+certifies itself.  The subfield questions (minimal exponents, alpha chains,
+quotient checks, identities, membership) get the same treatment: a
+reference that raises the element to each exponent at full width and
+reads the coefficient bits.
 """
 
 import random
@@ -29,7 +32,7 @@ from nimtower.orders import (
     verify_membership,
     verify_thm5,
 )
-from nimtower.tower import TowerElement, generator
+from nimtower.tower import TowerElement, generator, pow_values, width_of
 
 
 def brute_order(x: TowerElement) -> int:
@@ -51,6 +54,82 @@ def spec_reduction_order(x: TowerElement, n: FactoredOrder) -> int:
             else:
                 break
     return o
+
+
+def in_level(v: int, level: int) -> bool:
+    return v >> width_of(level) == 0
+
+
+def spec_subfield_exponent(v: int, level: int, primes) -> int:
+    """The literal reduction loop for the smallest d with v^d in L_(level-1):
+    strip primes of N_level while the full-width power stays there."""
+    w, d = width_of(level), fermat_number(level)
+    assert in_level(pow_values(v, d, w), level - 1)
+    for p in primes:
+        if in_level(pow_values(v, d // p, w), level - 1):
+            d //= p
+    return d
+
+
+def spec_alphas(i: int, base: str, table) -> tuple:
+    v, alphas = generator(base, i, i).value, []
+    for m in range(i, 0, -1):
+        alpha = spec_subfield_exponent(v, m, fermat.factorization(table, m).factors)
+        alphas.append(alpha)
+        v = pow_values(v, alpha, width_of(m))
+    assert v == 1
+    return tuple(alphas)
+
+
+def spec_thm5(j: int, table) -> list:
+    c, w = generator("c", j, j).value, width_of(j)
+    n_j = fermat_number(j)
+    out = [(f"thm5.j{j:02d}.eq1", pow_values(c, n_j, w) == generator("a", j - 1, j - 1).value)]
+    for idx, p in enumerate(fermat.factorization(table, j).factors):
+        out.append((f"thm5.j{j:02d}.q{idx}", not in_level(pow_values(c, n_j // p, w), j - 1)))
+    return out
+
+
+def spec_membership(theorem: int, i: int) -> list:
+    x = generator("c" if theorem == 1 else "a", i, i)
+    out, e = [], 1
+    for k in range(i):
+        e *= fermat_number(i - k)
+        power = pow_values(x.value, e, x.width)
+        if k <= i - 2:
+            ok = in_level(power, i - k - 1) and not in_level(power, i - k - 2)
+            out.append((f"thm{theorem}.membership.i{i:02d}.k{k}", ok))
+        else:
+            out.append((f"thm{theorem}.degenerate.i{i:02d}", power == 1))
+    return out
+
+
+def spec_identities(i: int) -> list:
+    c, a = generator("c", i, i), generator("a", i, i)
+    a_prev = generator("a", i - 1, i - 1)
+    n_i = fermat_number(i)
+    out = [
+        (f"lemma5.eq1.i{i:02d}", pow_values(c.value, n_i, c.width) == a_prev.value),
+        (
+            f"lemma5.eq2.i{i:02d}",
+            pow_values(a.value, n_i, a.width) == pow_values(a_prev.value, n_i + 1, a_prev.width),
+        ),
+    ]
+    e_lhs, e3 = n_i, 1
+    for k in range(i):
+        if k:
+            e_lhs *= fermat_number(i - k)
+            e3 *= fermat_number(i - k) + 1
+        target = generator("a", i - k - 1, i - k - 1)
+        rhs3 = pow_values(target.value, e3, target.width)
+        rhs4 = pow_values(target.value, e3 * (n_i + 1), target.width)
+        out.append((f"lemma6.eq3.i{i:02d}.k{k}", pow_values(c.value, e_lhs, c.width) == rhs3))
+        out.append((f"lemma6.eq4.i{i:02d}.k{k}", pow_values(a.value, e_lhs, a.width) == rhs4))
+    return out
+
+
+def outcomes(report) -> list:
+    return [(r.check_id, r.ok) for r in report.records]
 
 
 # -- multiplicative_order -----------------------------------------------------
@@ -306,6 +385,53 @@ def test_verify_thm5(table):
     assert report.passed and len(report.records) == 3
     with pytest.raises(MissingFactorization):
         verify_thm5(12, table)
+
+
+@pytest.mark.parametrize("level", range(2, 9))
+def test_subfield_questions_match_full_width_reference(table, level):
+    primes = fermat.factorization(table, level).factors
+    assert minimal_subfield_exponent(level, table) == spec_subfield_exponent(
+        generator("c", level, level).value, level, primes
+    )
+    for base in ("c", "a"):
+        assert alpha_chain(level, base, table).alphas == spec_alphas(level, base, table)
+    assert outcomes(verify_thm5(level, table)) == spec_thm5(level, table)
+    for theorem in (1, 2):
+        assert outcomes(verify_membership(theorem, level)) == spec_membership(theorem, level)
+    assert outcomes(verify_identities(level)) == spec_identities(level)
+
+
+def test_level_step_finds_exponents_below_n(table):
+    # x^p (p | N_j) needs d = N_j/p and an element of L_(j-1) needs d = 1:
+    # answers that c_j and a_j, which always need d = N_j, never exercise
+    for level in range(1, 8):
+        entry = fermat.factorization(table, level)
+        w = width_of(level)
+        x = tower.random_element(level, 3000 + level).value
+        values = [x, tower.random_element(level - 1, 9).value or 1]
+        values += [pow_values(x, p, w) for p in entry.factors]
+        for v in values:
+            norm, d = orders._down_step(v, entry)
+            assert d == spec_subfield_exponent(v, level, entry.factors), (level, v)
+            assert norm == pow_values(v, fermat_number(level), w)
+
+
+def test_identities_and_membership_beyond_the_factor_table():
+    # no factor table is needed: the norm chain reaches level 12 (8192 bits)
+    report = verify_identities(12)
+    assert report.passed and len(report.records) == 2 + 2 * 12
+    for theorem in (1, 2):
+        report = verify_membership(theorem, 12)
+        assert report.passed and len(report.records) == 12
+
+
+def test_verify_thm5_reports_a_prime_outside_the_order(table, monkeypatch):
+    # c_j^(N_j/p) stays in L_(j-1) when p does not divide the order of
+    # conj(c_j)/c_j; the record for that prime alone must turn FAIL
+    step = orders._down_step
+    monkeypatch.setattr(orders, "_down_step", lambda v, entry: (step(v, entry)[0], 6700417))
+    status = {r.check_id: r.ok for r in verify_thm5(5, table).records}
+    assert status == {"thm5.j05.eq1": True, "thm5.j05.q0": False, "thm5.j05.q1": True}
 
 
 def test_verify_corollaries_level2(table):

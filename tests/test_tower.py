@@ -255,6 +255,33 @@ def test_pow_windowed_path_matches_plain():
             assert x.pow(e) == left
 
 
+def test_pow_reduces_exponent_mod_group_order():
+    from nimtower.expr import evaluate
+
+    c2 = generator("c", 2, 2)
+    n21 = fermat.fermat_number(21)
+    assert c2.pow(n21) == c2.pow(n21 % 255)
+    assert evaluate("c2^N21") == c2.pow(n21 % 255)
+    for level in (-1, 0, 3, 6, 9):
+        order = (1 << tower.width_of(level)) - 1
+        for x in seeded(level, 3, 47):
+            if x.value == 0:
+                continue
+            for k in (1, 2, 7):
+                assert x.pow(k * order).value == 1, (level, x, k)
+                assert x.pow(k * order + 5) == x.pow(5), (level, x, k)
+
+
+def test_pow_of_zero_is_not_reduced():
+    for level in (0, 3, 6):
+        w = tower.width_of(level)
+        order = (1 << w) - 1
+        for e in (1, order, 3 * order, 1 << 70):
+            assert elem(0, level).pow(e).value == 0
+            assert tower.pow_values(0, e, w) == 0
+        assert tower.pow_values(0, 0, w) == 1
+
+
 def test_lagrange_small_levels():
     for level in range(0, 6):
         order = (1 << tower.width_of(level)) - 1
