@@ -10,9 +10,10 @@ Grammar (whitespace insignificant):
     intatom := decimal | 'N'digits | '(' intexpr ')'
 
 Exponents are plain naturals; ``N<j>`` resolves to the Fermat number
-2^(2^j)+1 and ``/`` must divide exactly.  An expression evaluates at the
-highest level among its atoms; hex atoms take an explicit ``@L<k>`` level
-or adopt the expression's.
+2^(2^j)+1 (j <= MAX_LEVEL + 1) and ``/`` must divide exactly.  An expression
+evaluates at the highest level among its atoms; hex atoms take an explicit
+``@L<k>`` level or adopt the expression's.  Parentheses nest at most
+MAX_NESTING deep; deeper input is a ParseError, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from dataclasses import dataclass
 from .errors import DivideByZero, ExactDivError, ParseError
 from .fermat import fermat_number
 from .tower import TowerElement, generator, _min_level_for
+
+# Deepest parenthesis nesting accepted.  Each level costs the recursive
+# descent four stack frames, far below the interpreter's default limit.
+MAX_NESTING = 100
 
 
 # Element nodes.
@@ -89,6 +94,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -98,6 +104,16 @@ class _Parser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def open_paren(self) -> None:
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.pos)
+        self.depth += 1
+        self.pos += 1
+
+    def close_paren(self) -> None:
+        self.take(")")
+        self.depth -= 1
+
     def take(self, ch: str) -> None:
         if self.peek() != ch:
             raise ParseError(f"expected {ch!r}", self.pos)
@@ -105,11 +121,14 @@ class _Parser:
 
     def digits(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected digits", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ParseError("number too long", start) from None
 
     # -- element grammar ----------------------------------------------------
 
@@ -137,9 +156,9 @@ class _Parser:
     def atom(self):
         ch = self.peek()
         if ch == "(":
-            self.pos += 1
+            self.open_paren()
             inner = self.sum()
-            self.take(")")
+            self.close_paren()
             return inner
         if ch in ("c", "a"):
             self.pos += 1
@@ -174,12 +193,12 @@ class _Parser:
             # '*' is also the element product: if what follows the operator
             # is not exponent material, hand it back to the enclosing prod.
             op = self.peek()
-            mark = self.pos
+            mark, depth = self.pos, self.depth
             self.pos += 1
             try:
                 rhs = self.intatom()
             except ParseError:
-                self.pos = mark
+                self.pos, self.depth = mark, depth
                 break
             node = IntMul(node, rhs) if op == "*" else IntDiv(node, rhs)
         return node
@@ -187,14 +206,14 @@ class _Parser:
     def intatom(self):
         ch = self.peek()
         if ch == "(":
-            self.pos += 1
+            self.open_paren()
             inner = self.intexpr()
-            self.take(")")
+            self.close_paren()
             return inner
         if ch == "N":
             self.pos += 1
             return FermatRef(self.digits())
-        if ch.isdigit():
+        if ch and ch in "0123456789":
             return IntLit(self.digits())
         raise ParseError("expected an exponent atom", self.pos)
 
@@ -240,18 +259,27 @@ def divrem(a: int, b: int) -> tuple[int, int]:
 
 
 def eval_int(node) -> int:
+    # A chain a*b/c*... is a left-deep tree as long as the chain; walk its
+    # left spine in a loop so only parentheses add stack depth.
+    spine = []
+    while isinstance(node, (IntMul, IntDiv)):
+        spine.append(node)
+        node = node.left
     if isinstance(node, IntLit):
-        return node.value
-    if isinstance(node, FermatRef):
-        return fermat_number(node.j)
-    if isinstance(node, IntMul):
-        return eval_int(node.left) * eval_int(node.right)
-    if isinstance(node, IntDiv):
-        q, r = divrem(eval_int(node.left), eval_int(node.right))
+        acc = node.value
+    elif isinstance(node, FermatRef):
+        acc = fermat_number(node.j)
+    else:
+        raise TypeError(f"not an exponent node: {node!r}")
+    for op in reversed(spine):
+        rhs = eval_int(op.right)
+        if isinstance(op, IntMul):
+            acc *= rhs
+            continue
+        acc, r = divrem(acc, rhs)
         if r != 0:
             raise ExactDivError(f"exponent division is not exact (remainder {r})")
-        return q
-    raise TypeError(f"not an exponent node: {node!r}")
+    return acc
 
 
 def _eval_at(node, level: int) -> TowerElement:

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
-from .errors import MissingFactorization, ParseError, ValidationError
+from .errors import LevelError, MissingFactorization, ParseError, ValidationError
 from .report import VerificationReport
+from .tower import MAX_LEVEL
 
 # Complete prime factorizations for j = 0..11.  N_0..N_4 are themselves
 # prime; the rest are the known full factorizations of F_5..F_11.
@@ -78,13 +79,19 @@ def from_decimal(s: str) -> int:
     """Parse a decimal digit string; leading zeros are canonicalized away."""
     if not s or any(ch not in _DECIMAL_DIGITS for ch in s):
         raise ParseError(f"not a decimal natural number: {s!r}")
-    return int(s, 10)
+    try:
+        return int(s, 10)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"decimal number too long ({len(s)} digits)") from None
 
 
 def fermat_number(j: int) -> int:
-    """N_j = 2^(2^j) + 1."""
+    """N_j = 2^(2^j) + 1, for 0 <= j <= MAX_LEVEL + 1.  Above that LevelError,
+    so no N_j is more than one bit longer than an element of the top level."""
     if j < 0:
         raise ValueError(f"Fermat index must be >= 0, got {j}")
+    if j > MAX_LEVEL + 1:
+        raise LevelError(f"N_{j} is above the ceiling N_{MAX_LEVEL + 1}")
     return (1 << (1 << j)) + 1
 
 
@@ -152,7 +159,7 @@ def load_factor_table(source: str) -> list[FermatFactorization]:
         head, sep, tail = line.partition(":")
         if not sep or not head.startswith("N") or not head[1:].isdigit():
             raise ParseError(f"line {lineno}: expected 'N<j>: <factors>', got {raw!r}")
-        j = int(head[1:])
+        j = from_decimal(head[1:])
         if j in entries:
             raise ParseError(f"line {lineno}: duplicate entry for N{j}")
         parts = tail.split()

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import random
 import threading
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import LevelError, OutOfOracleRange
 from .report import VerificationReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Exhaustive scope of the mex oracle: covers L_2 (values < 256) in full.
 MEX_ORACLE_BOUND = 256
@@ -41,8 +43,11 @@ def _build_mex_table() -> np.ndarray:
     """Fill a*b = mex{a'*b ^ a*b' ^ a'*b'} bottom-up for all a, b < 256.
 
     Row/column/block slices of the partially filled table give the option
-    set of each cell; commutativity halves the work.
+    set of each cell; commutativity halves the work.  numpy is imported
+    here, not at module level, so that only mex-oracle callers load it.
     """
+    import numpy as np
+
     n = MEX_ORACLE_BOUND
     t = np.zeros((n, n), dtype=np.uint16)
     for a in range(1, n):

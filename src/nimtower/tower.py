@@ -23,9 +23,20 @@ is a thin immutable wrapper that adds level bookkeeping.
 
 Base cases: a 256x256 product table covers widths up to 8 and is built once
 from the recursion itself; on top of it sit log/antilog tables for the
-65536-element field (width 16), where the recursion bottoms out.  The
-16-bit threshold is the measured sweet spot for 4096-bit operations and is
-a named constant below.
+65536-element field (width 16), plus the width-16 maps "times a_3" (A) and
+"squared".  Widths 32 and 64 are straight-line code over these tables, with
+no recursive call: _mul at width 32 is three 16-bit log products and one A;
+_square at 32 and 64 squares the 16-bit quarters and folds in A; and
+_mul_top, being F2-linear, is the block matrix
+
+    M32 = [[A, A], [A^2, 0]]          on (xh, xl), 16-bit halves
+    M64 = [[M32, M32], [M32^2, 0]],   M32^2 = [[A^2+A^3, A^2], [A^3, A^3]]
+
+where A^2 and A^3 are two and three nested lookups in A's table.  Above
+64 bits every kernel recurses as written above.
+
+Levels run from -1 to MAX_LEVEL; width_of, generator and TowerElement
+refuse any other level before allocating anything of its size.
 """
 
 from __future__ import annotations
@@ -46,8 +57,15 @@ from .errors import (
 
 # Width (bits) of the dense product table: 2^8 x 2^8 entries, level <= 2.
 BASE_TABLE_BITS = 8
-# Width at which the recursion switches to log/antilog lookups (tunable).
+# Width of the log/antilog field.  Fixed: the table builder and the
+# straight-line width-32/64 bases split values into 16-bit pieces.
 LOG_TABLE_BITS = 16
+# Highest level accepted anywhere: widths, generators, elements, and (via
+# fermat.fermat_number) the Fermat numbers N_j, j <= MAX_LEVEL + 1, that
+# expressions and factor files may name.  A level-20 element and N_21 each
+# take 2^21 bits (256 KiB); the paper's claims, the tests and the reports
+# use levels up to 13.
+MAX_LEVEL = 20
 # Generator used to build the 16-bit log tables: c3*c0, primitive in L_3.
 _LOG_GENERATOR = 0x200
 
@@ -127,53 +145,89 @@ def _ensure_tables() -> None:
 
 
 def _mul(a: int, b: int, w: int) -> int:
-    if w == LOG_TABLE_BITS:
-        if a == 0 or b == 0:
-            return 0
-        return _EXP16[_LOG16[a] + _LOG16[b]]
-    if w < LOG_TABLE_BITS:
-        return _MUL8[a][b]
-    if a < 2 or b < 2:
-        return a * b
-    half = w >> 1
-    mask = (1 << half) - 1
-    ah, al = a >> half, a & mask
-    bh, bl = b >> half, b & mask
-    if ah | bh == 0:
-        return _mul(al, bl, half)
-    hh = _mul(ah, bh, half)
-    ll = _mul(al, bl, half)
-    mid = _mul(ah ^ al, bh ^ bl, half)
-    return ((mid ^ ll) << half) ^ _mul_top(hh, half) ^ ll
+    if w > 32:
+        if a < 2 or b < 2:
+            return a * b
+        half = w >> 1
+        mask = (1 << half) - 1
+        ah, al = a >> half, a & mask
+        bh, bl = b >> half, b & mask
+        if ah | bh == 0:
+            return _mul(al, bl, half)
+        hh = _mul(ah, bh, half)
+        ll = _mul(al, bl, half)
+        mid = _mul(ah ^ al, bh ^ bl, half)
+        return ((mid ^ ll) << half) ^ _mul_top(hh, half) ^ ll
+    if w == 32:
+        exp, log = _EXP16, _LOG16
+        ah, al = a >> 16, a & 0xFFFF
+        bh, bl = b >> 16, b & 0xFFFF
+        hh = exp[log[ah] + log[bh]] if ah and bh else 0
+        ll = exp[log[al] + log[bl]] if al and bl else 0
+        sa, sb = ah ^ al, bh ^ bl
+        mid = exp[log[sa] + log[sb]] if sa and sb else 0
+        return ((mid ^ ll) << 16) ^ _MUL_TOP16[hh] ^ ll
+    if w == 16:
+        return _EXP16[_LOG16[a] + _LOG16[b]] if a and b else 0
+    return _MUL8[a][b]
 
 
 def _mul_top(x: int, w: int) -> int:
     """Multiply x by the top monomial of the width-w field (value 2^(w-1))."""
-    if w == LOG_TABLE_BITS:
+    if w > 64:
+        if x == 0:
+            return 0
+        half = w >> 1
+        xh = x >> half
+        xl = x & ((1 << half) - 1)
+        if xh == 0:
+            return _mul_top(xl, half) << half
+        return (_mul_top(xh ^ xl, half) << half) ^ _mul_top(_mul_top(xh, half), half)
+    if w == 64:
+        # M64 (module docstring) on the 16-bit quarters x3..x0, A = t.
+        t = _MUL_TOP16
+        x3, x2 = x >> 48, (x >> 32) & 0xFFFF
+        x1, x0 = (x >> 16) & 0xFFFF, x & 0xFFFF
+        u = t[t[x3 ^ x2]]
+        return (
+            (t[x3 ^ x2 ^ x1 ^ x0] << 48)
+            ^ (t[t[x3 ^ x1]] << 32)
+            ^ ((u ^ t[t[t[x3]]]) << 16)
+            ^ t[u]
+        )
+    if w == 32:
+        t = _MUL_TOP16
+        xh = x >> 16
+        return (t[xh ^ (x & 0xFFFF)] << 16) ^ t[t[xh]]
+    if w == 16:
         return _MUL_TOP16[x]
-    if w < LOG_TABLE_BITS:
-        return _MUL8[x][1 << (w - 1)]
-    if x == 0:
-        return 0
-    half = w >> 1
-    xh = x >> half
-    xl = x & ((1 << half) - 1)
-    if xh == 0:
-        return _mul_top(xl, half) << half
-    return (_mul_top(xh ^ xl, half) << half) ^ _mul_top(_mul_top(xh, half), half)
+    return _MUL8[x][1 << (w - 1)]
 
 
 def _square(a: int, w: int) -> int:
-    if w == LOG_TABLE_BITS:
+    if w > 64:
+        half = w >> 1
+        ah = a >> half
+        if ah == 0:
+            return _square(a, half)
+        hh = _square(ah, half)
+        return (hh << half) ^ _mul_top(hh, half) ^ _square(a & ((1 << half) - 1), half)
+    if w == 64:
+        # (h1, h0) and (l1, l0): the width-32 squares of the halves; then
+        # hh*2^32 + M32(hh) + ll as in the recursion.
+        sq, t = _SQ16, _MUL_TOP16
+        h1 = sq[a >> 48]
+        h0 = t[h1] ^ sq[(a >> 32) & 0xFFFF]
+        l1 = sq[(a >> 16) & 0xFFFF]
+        l0 = t[l1] ^ sq[a & 0xFFFF]
+        return (h1 << 48) ^ (h0 << 32) ^ ((t[h1 ^ h0] ^ l1) << 16) ^ t[t[h1]] ^ l0
+    if w == 32:
+        sq = _SQ16
+        hh = sq[a >> 16]
+        return (hh << 16) ^ _MUL_TOP16[hh] ^ sq[a & 0xFFFF]
+    if w == 16:
         return _SQ16[a]
-    if w < LOG_TABLE_BITS:
-        return _MUL8[a][a]
-    half = w >> 1
-    ah = a >> half
-    if ah == 0:
-        return _square(a, half)
-    hh = _square(ah, half)
-    return (hh << half) ^ _mul_top(hh, half) ^ _square(a & ((1 << half) - 1), half)
+    return _MUL8[a][a]
 
 
 def _norm(a: int, w: int) -> int:
@@ -270,8 +324,8 @@ def norm_split_values(a: int, width: int) -> tuple[int, int]:
 
 def width_of(level: int) -> int:
     """Coefficient-vector length (bits) of a level: 2^(level+1)."""
-    if level < -1:
-        raise LevelError(f"level must be >= -1, got {level}")
+    if not -1 <= level <= MAX_LEVEL:
+        raise LevelError(f"level must lie in -1..{MAX_LEVEL}, got {level}")
     return 1 << (level + 1)
 
 
@@ -290,8 +344,6 @@ class TowerElement:
     value: int
 
     def __post_init__(self):
-        if self.level < -1:
-            raise LevelError(f"level must be >= -1, got {self.level}")
         if self.value < 0 or self.value >> width_of(self.level):
             raise NotInField(
                 f"value {self.value:#x} does not fit in level {self.level}"
@@ -405,8 +457,7 @@ def generator(kind: str, index: int, level: int) -> TowerElement:
     c_k has the single coefficient bit 2^k set; a_k = c_0*...*c_k has bit
     2^(k+1)-1.  Index -1 yields 1 for both families.
     """
-    if level < -1:
-        raise LevelError(f"level must be >= -1, got {level}")
+    width_of(level)  # LevelError outside -1..MAX_LEVEL
     if kind == "zero":
         return zero(level)
     if kind == "one":

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to watch the lines as
 they complete; the order sweep to level 11 (criterion 3) is the heaviest
-part, about 70 s of a module run under 3 minutes on a shared 2-vCPU machine.
+part, about 45 s of a 65 s module run on a shared, busy 2-vCPU machine.
 
 Criterion 1 checks the bundled level-2 worked example claim by claim.
 Three claims hold and are asserted as stated: O(c_2) = 85,

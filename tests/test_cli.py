@@ -25,6 +25,21 @@ def test_eval_parse_error_exit_2(capsys):
     assert "offset 3" in err
 
 
+def test_eval_deep_nesting_exit_2(capsys):
+    code, out, err = run(capsys, "eval", "(" * 3000 + "c1" + ")" * 3000)
+    assert code == 2 and out == ""
+    assert "nested deeper" in err
+
+
+def test_eval_above_level_ceiling_exit_1(capsys):
+    for expression in ("c30", "c40", "c2^N30"):
+        code, out, err = run(capsys, "eval", expression)
+        assert code == 1 and out == ""
+        assert "LevelError" in err, expression
+    code, out, _ = run(capsys, "eval", "c13")
+    assert code == 0 and out == f"{1 << (1 << 13):#x}@L13\n"
+
+
 def test_order(capsys):
     code, out, _ = run(capsys, "order", "c2*c0")
     assert code == 0 and out == "255 = 3 * 5 * 17\n"
@@ -203,6 +218,22 @@ def test_bench_runs(capsys):
     code, out, _ = run(capsys, "bench", "--max-level", "1", "--samples", "4")
     assert code == 0
     assert out.splitlines()[0].startswith("level  0:")
+
+
+def test_bench_builds_tables_before_timing(capsys, monkeypatch):
+    import time
+    from types import SimpleNamespace
+
+    from nimtower import cli, tower
+
+    events = []
+    build = tower._build_tables
+    clock = SimpleNamespace(perf_counter=lambda: (events.append("clock"), time.perf_counter())[1])
+    monkeypatch.setattr(tower, "_tables_ready", False)
+    monkeypatch.setattr(tower, "_build_tables", lambda: (events.append("build"), build()))
+    monkeypatch.setattr(cli, "time", clock)
+    code, _, _ = run(capsys, "bench", "--max-level", "0", "--samples", "2")
+    assert code == 0 and events[0] == "build"
 
 
 def test_usage_error_exit_2():

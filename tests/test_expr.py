@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nimtower import expr
+from nimtower import expr, tower
 from nimtower.errors import (
     DivideByZero,
     ExactDivError,
@@ -67,12 +67,33 @@ def test_parse_error_position():
 
 
 def test_parse_errors():
-    for bad, pos in (("", 0), ("(c2", 3), ("c", 1), ("c2+", 3), ("0x", 2), ("z3", 0)):
+    for bad, pos in (("", 0), ("(c2", 3), ("c", 1), ("c2+", 3), ("0x", 2), ("z3", 0),
+                     ("c²", 1), ("c2^²", 3), ("c" + "9" * 5000, 1)):
         with pytest.raises(ParseError) as err:
             parse_expr(bad)
         assert err.value.position == pos, bad
     with pytest.raises(ParseError):
         parse_expr("c2*c0 junk")
+
+
+def test_parse_nesting_depth_is_bounded():
+    n = expr.MAX_NESTING
+    assert evaluate("(" * n + "c1" + ")" * n) == evaluate("c1")
+    assert evaluate("c1^" + "(" * n + "2" + ")" * n) == evaluate("c1^2")
+    for deep in (
+        "(" * (n + 1) + "c1" + ")" * (n + 1),
+        "c1^" + "(" * 3000 + "2" + ")" * 3000,
+        "(" * 60 + "c1^" + "(" * 60 + "2" + ")" * 120,  # both grammars count
+        "c1^2*" + "(" * 3000 + "c0" + ")" * 3000,  # after the exponent backtrack
+    ):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr(deep)
+
+
+def test_long_exponent_chain_needs_no_recursion():
+    # a*b*c*... builds a left-deep tree as long as the chain
+    assert evaluate("c1^2" + "*2" * 5000) == evaluate("c1").pow(2 ** 5001)
+    assert evaluate("c3^N4" + "*N4/N4" * 2000) == evaluate("c3^N4")
 
 
 def test_parse_whitespace_insignificant():
@@ -113,6 +134,15 @@ def test_eval_levels():
     assert evaluate("0x15").level == 2  # 21 needs 5 coefficient bits
     assert evaluate("0x3@L4").level == 4
     assert evaluate("0x3@L4 + c0").level == 4
+
+
+def test_eval_level_ceiling():
+    top = tower.MAX_LEVEL
+    assert evaluate(f"c{top}").level == top
+    assert evaluate(f"c2^N{top + 1}").level == 2
+    for bad in (f"c{top + 1}", "c40", "a30", f"0x1@L{top + 1}", "c2^N30", "c2^(N40/N40)"):
+        with pytest.raises(LevelError):
+            evaluate(bad)
 
 
 def test_eval_exponents_via_fermat_numbers():

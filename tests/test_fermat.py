@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from nimtower import fermat
-from nimtower.errors import MissingFactorization, ParseError, ValidationError
+from nimtower import fermat, tower
+from nimtower.errors import LevelError, MissingFactorization, ParseError, ValidationError
 from nimtower.fermat import (
     _FACTOR_STRINGS,
     FactoredOrder,
@@ -44,6 +44,15 @@ def test_fermat_number_values():
     assert fermat_number(4) == 65537
     assert fermat_number(5) == 4294967297
     assert fermat_number(11) == (1 << 2048) + 1
+
+
+def test_fermat_number_ceiling():
+    top = tower.MAX_LEVEL + 1
+    assert fermat_number(top).bit_length() == tower.width_of(tower.MAX_LEVEL) + 1
+    with pytest.raises(LevelError):
+        fermat_number(top + 1)
+    with pytest.raises(LevelError):
+        load_factor_table("N40: 3")  # refused before 2^(2^40) is built
 
 
 def test_builtin_table_contents(table):
@@ -99,7 +108,9 @@ def test_builtin_table_is_fresh_list_of_shared_entries():
 
 
 def test_load_rejects_grammar_violations():
-    for bad in ("N5 641", "M5: 641", "N5:", "Nx: 3", "N5: 6,41"):
+    too_long = "9" * 5000  # more digits than int() converts
+    for bad in ("N5 641", "M5: 641", "N5:", "Nx: 3", "N5: 6,41", "N²: 3",
+                f"N{too_long}: 3", f"N5: {too_long}"):
         with pytest.raises(ParseError):
             load_factor_table(bad)
     with pytest.raises(ParseError):

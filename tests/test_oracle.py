@@ -77,7 +77,7 @@ def test_cross_check_exhaustive_levels():
 
 
 def test_cross_check_sampled_levels():
-    for level in (3, 5):
+    for level in (3, 4, 5, 6):
         report = oracle.cross_check(level, samples=500, seed=42)
         assert report.passed
         assert report.records[0].check_id == f"oracle.l{level}.rec.sampled"

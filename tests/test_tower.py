@@ -52,6 +52,24 @@ def test_generator_level_errors():
         generator("c", -2, 5)
 
 
+def test_level_ceiling():
+    top = tower.MAX_LEVEL
+    assert top >= 13  # the paper's claims, the reports and the tests
+    assert tower.width_of(top) == 1 << (top + 1)
+    assert generator("c", top, top).value == 1 << (1 << top)
+    # refused before a 2^(level+1)-bit value is built
+    for make in (
+        lambda: tower.width_of(top + 1),
+        lambda: generator("c", 40, 40),
+        lambda: generator("one", 0, top + 1),
+        lambda: TowerElement(top + 1, 0),
+        lambda: tower.parse_hex("0x1", 30),
+        lambda: elem(1, 2).lift(top + 1),
+    ):
+        with pytest.raises(LevelError):
+            make()
+
+
 # -- add ---------------------------------------------------------------------
 
 
@@ -116,6 +134,39 @@ def test_mul_by_top_monomial_specialized_path_agrees():
         for _ in range(200):
             x = rng.getrandbits(w)
             assert _mul_top(x, w) == _mul(x, 1 << (w - 1), w)
+
+
+def _base_case_values(w, rng):
+    """Edge and random values for the straight-line width-32/64 kernels."""
+    half = w // 2
+    low = (1 << half) - 1
+    h = rng.getrandbits(half) | 1
+    values = [
+        0, 1, (1 << w) - 1, 1 << (w - 1),
+        h,  # zero high half
+        h << half,  # zero low half
+        (h << half) | h,  # high half equal to low half
+        low, low << half,
+    ]
+    for q in range(w // 16):  # one 16-bit piece set, the rest zero
+        values += [0xFFFF << (16 * q), (rng.getrandbits(16) | 1) << (16 * q)]
+    return values + [rng.getrandbits(w) for _ in range(150)]
+
+
+@pytest.mark.parametrize("w", [32, 64])
+def test_straight_line_bases_match_recursive_oracle(w):
+    from nimtower.oracle import nim_mul_rec
+    from nimtower.tower import _ensure_tables, _mul, _mul_top, _square
+
+    _ensure_tables()
+    rng = random.Random(w)
+    values = _base_case_values(w, rng)
+    top = 1 << (w - 1)
+    for x in values:
+        assert _square(x, w) == nim_mul_rec(x, x), (w, hex(x))
+        assert _mul_top(x, w) == nim_mul_rec(x, top), (w, hex(x))
+        for y in values[:20] + [rng.getrandbits(w) for _ in range(5)]:
+            assert _mul(x, y, w) == nim_mul_rec(x, y), (w, hex(x), hex(y))
 
 
 # -- square ------------------------------------------------------------------
