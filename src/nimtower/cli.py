@@ -245,7 +245,7 @@ def _cmd_bench(args) -> int:
     import random
 
     rng = random.Random(args.seed)
-    tower.mul_values(1, 1, 1)  # build the kernel tables before any timing
+    tower._ensure_tables()
     for level in range(0, args.max_level + 1):
         width = tower.width_of(level)
         xs = [rng.getrandbits(width) | 1 for _ in range(args.samples)]

@@ -25,15 +25,19 @@ Base cases: a 256x256 product table covers widths up to 8 and is built once
 from the recursion itself; on top of it sit log/antilog tables for the
 65536-element field (width 16), plus the width-16 maps "times a_3" (A) and
 "squared".  Widths 32 and 64 are straight-line code over these tables, with
-no recursive call: _mul at width 32 is three 16-bit log products and one A;
-_square at 32 and 64 squares the 16-bit quarters and folds in A; and
-_mul_top, being F2-linear, is the block matrix
+no recursive call: _mul at width 32 is three 16-bit log products and one
+A, applied as the call _mul_top(hh, 16) so that every product of width 32
+and up goes through that one width-16 line (perfbench's corruption
+self-test edits it and expects every workload to notice); _square at 32
+and 64 squares the 16-bit quarters and folds in A; and _mul_top, being
+F2-linear, is the block matrix
 
     M32 = [[A, A], [A^2, 0]]          on (xh, xl), 16-bit halves
     M64 = [[M32, M32], [M32^2, 0]],   M32^2 = [[A^2+A^3, A^2], [A^3, A^3]]
 
 where A^2 and A^3 are two and three nested lookups in A's table.  Above
-64 bits every kernel recurses as written above.
+64 bits every kernel recurses as written above.  Each kernel tests the
+table widths first, so calls at levels <= 3 dispatch at once.
 
 Levels run from -1 to MAX_LEVEL; width_of, generator and TowerElement
 refuse any other level before allocating anything of its size.
@@ -64,7 +68,10 @@ LOG_TABLE_BITS = 16
 # fermat.fermat_number) the Fermat numbers N_j, j <= MAX_LEVEL + 1, that
 # expressions and factor files may name.  A level-20 element and N_21 each
 # take 2^21 bits (256 KiB); the paper's claims, the tests and the reports
-# use levels up to 13.
+# use levels up to 13.  The ceiling bounds the size of a value, not the
+# time to compute with it: a multiply costs about 3x per level, and one
+# random level-20 multiply took 258 s (level 15: 0.56 s) on a shared
+# 2-vCPU machine.
 MAX_LEVEL = 20
 # Generator used to build the 16-bit log tables: c3*c0, primitive in L_3.
 _LOG_GENERATOR = 0x200
@@ -145,19 +152,10 @@ def _ensure_tables() -> None:
 
 
 def _mul(a: int, b: int, w: int) -> int:
-    if w > 32:
-        if a < 2 or b < 2:
-            return a * b
-        half = w >> 1
-        mask = (1 << half) - 1
-        ah, al = a >> half, a & mask
-        bh, bl = b >> half, b & mask
-        if ah | bh == 0:
-            return _mul(al, bl, half)
-        hh = _mul(ah, bh, half)
-        ll = _mul(al, bl, half)
-        mid = _mul(ah ^ al, bh ^ bl, half)
-        return ((mid ^ ll) << half) ^ _mul_top(hh, half) ^ ll
+    if w == 16:
+        return _EXP16[_LOG16[a] + _LOG16[b]] if a and b else 0
+    if w < 16:
+        return _MUL8[a][b]
     if w == 32:
         exp, log = _EXP16, _LOG16
         ah, al = a >> 16, a & 0xFFFF
@@ -166,23 +164,32 @@ def _mul(a: int, b: int, w: int) -> int:
         ll = exp[log[al] + log[bl]] if al and bl else 0
         sa, sb = ah ^ al, bh ^ bl
         mid = exp[log[sa] + log[sb]] if sa and sb else 0
-        return ((mid ^ ll) << 16) ^ _MUL_TOP16[hh] ^ ll
-    if w == 16:
-        return _EXP16[_LOG16[a] + _LOG16[b]] if a and b else 0
-    return _MUL8[a][b]
+        # A through the width-16 branch, not t[hh]: see the module docstring.
+        return ((mid ^ ll) << 16) ^ _mul_top(hh, 16) ^ ll
+    if a < 2 or b < 2:
+        return a * b
+    half = w >> 1
+    mask = (1 << half) - 1
+    ah, al = a >> half, a & mask
+    bh, bl = b >> half, b & mask
+    if ah | bh == 0:
+        return _mul(al, bl, half)
+    hh = _mul(ah, bh, half)
+    ll = _mul(al, bl, half)
+    mid = _mul(ah ^ al, bh ^ bl, half)
+    return ((mid ^ ll) << half) ^ _mul_top(hh, half) ^ ll
 
 
 def _mul_top(x: int, w: int) -> int:
     """Multiply x by the top monomial of the width-w field (value 2^(w-1))."""
-    if w > 64:
-        if x == 0:
-            return 0
-        half = w >> 1
-        xh = x >> half
-        xl = x & ((1 << half) - 1)
-        if xh == 0:
-            return _mul_top(xl, half) << half
-        return (_mul_top(xh ^ xl, half) << half) ^ _mul_top(_mul_top(xh, half), half)
+    if w == 16:
+        return _MUL_TOP16[x]
+    if w < 16:
+        return _MUL8[x][1 << (w - 1)]
+    if w == 32:
+        t = _MUL_TOP16
+        xh = x >> 16
+        return (t[xh ^ (x & 0xFFFF)] << 16) ^ t[t[xh]]
     if w == 64:
         # M64 (module docstring) on the 16-bit quarters x3..x0, A = t.
         t = _MUL_TOP16
@@ -195,23 +202,25 @@ def _mul_top(x: int, w: int) -> int:
             ^ ((u ^ t[t[t[x3]]]) << 16)
             ^ t[u]
         )
-    if w == 32:
-        t = _MUL_TOP16
-        xh = x >> 16
-        return (t[xh ^ (x & 0xFFFF)] << 16) ^ t[t[xh]]
-    if w == 16:
-        return _MUL_TOP16[x]
-    return _MUL8[x][1 << (w - 1)]
+    if x == 0:
+        return 0
+    half = w >> 1
+    xh = x >> half
+    xl = x & ((1 << half) - 1)
+    if xh == 0:
+        return _mul_top(xl, half) << half
+    return (_mul_top(xh ^ xl, half) << half) ^ _mul_top(_mul_top(xh, half), half)
 
 
 def _square(a: int, w: int) -> int:
-    if w > 64:
-        half = w >> 1
-        ah = a >> half
-        if ah == 0:
-            return _square(a, half)
-        hh = _square(ah, half)
-        return (hh << half) ^ _mul_top(hh, half) ^ _square(a & ((1 << half) - 1), half)
+    if w == 16:
+        return _SQ16[a]
+    if w < 16:
+        return _MUL8[a][a]
+    if w == 32:
+        sq = _SQ16
+        hh = sq[a >> 16]
+        return (hh << 16) ^ _MUL_TOP16[hh] ^ sq[a & 0xFFFF]
     if w == 64:
         # (h1, h0) and (l1, l0): the width-32 squares of the halves; then
         # hh*2^32 + M32(hh) + ll as in the recursion.
@@ -221,13 +230,12 @@ def _square(a: int, w: int) -> int:
         l1 = sq[(a >> 16) & 0xFFFF]
         l0 = t[l1] ^ sq[a & 0xFFFF]
         return (h1 << 48) ^ (h0 << 32) ^ ((t[h1 ^ h0] ^ l1) << 16) ^ t[t[h1]] ^ l0
-    if w == 32:
-        sq = _SQ16
-        hh = sq[a >> 16]
-        return (hh << 16) ^ _MUL_TOP16[hh] ^ sq[a & 0xFFFF]
-    if w == 16:
-        return _SQ16[a]
-    return _MUL8[a][a]
+    half = w >> 1
+    ah = a >> half
+    if ah == 0:
+        return _square(a, half)
+    hh = _square(ah, half)
+    return (hh << half) ^ _mul_top(hh, half) ^ _square(a & ((1 << half) - 1), half)
 
 
 def _norm(a: int, w: int) -> int:
