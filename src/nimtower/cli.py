@@ -15,6 +15,7 @@ import argparse
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 
 from . import expr, fermat, oracle, orders, tower
 from .errors import NimtowerError, ParseError
@@ -33,89 +34,71 @@ def _load_table(path: str | None):
 
 
 # ---------------------------------------------------------------------------
-# Verification task fan-out.  Tasks are plain tuples so a process pool can
-# ship them to workers; results are merged and sorted regardless of which
-# worker finished first.
+# Verification task fan-out.  A task is a record a process pool can ship to
+# workers; results are merged and sorted regardless of which worker finished
+# first.
 
 
-def _run_verify_task(task) -> list[CheckRecord]:
-    kind = task[0]
+@dataclass(frozen=True)
+class _Task:
+    """One call of the `orders` suite named `suite`, and the check id of the
+    FAIL record that reports it if it raises.  The suite is looked up when
+    the task runs, so whatever `orders.<suite>` is bound to then is called."""
+
+    error_id: str
+    suite: str
+    args: tuple
+    kwargs: dict = field(default_factory=dict)
+
+
+def _run_verify_task(task: _Task) -> list[CheckRecord]:
     try:
-        if kind == "identities":
-            _, i, k_max, base, iterated = task
-            return orders.verify_identities(i, k_max, base=base, iterated=iterated).records
-        if kind == "membership":
-            _, theorem, i = task
-            return orders.verify_membership(theorem, i).records
-        if kind == "thm5":
-            _, j, table = task
-            return orders.verify_thm5(j, table).records
-        if kind == "cor":
-            _, i, table = task
-            return orders.verify_corollaries(i, table).records
-        if kind == "example":
-            (_, table) = task
-            return orders.verify_closing_example(table).records
-        raise ValueError(f"unknown task kind {kind!r}")
+        return getattr(orders, task.suite)(*task.args, **task.kwargs).records
     except NimtowerError as exc:
-        if kind == "identities":
-            ident = f"lemma5.i{task[1]:02d}"
-        elif kind == "membership":
-            ident = f"thm{task[1]}.i{task[2]:02d}"
-        elif kind == "thm5":
-            ident = f"thm5.j{task[1]:02d}.factorization"
-        elif kind == "cor":
-            ident = f"cor.i{task[1]:02d}.factorization"
-        else:
-            ident = "l2ex.error"
-        return [CheckRecord(ident, False, f"{type(exc).__name__}: {exc}")]
+        return [CheckRecord(task.error_id, False, f"{type(exc).__name__}: {exc}")]
 
 
-def _plan_tasks(target: str, level: int | None, max_level: int | None, table):
+def _plan_tasks(target: str, level: int | None, max_level: int | None, table) -> list[_Task]:
     """Expand a verify target into independent per-level tasks.
 
     A single family honors --level (one level) or --max-level (sweep up to
     it); defaults are level 8 for the identity/membership families and 11
     for the quotient-check/corollary families.  For `all`, --level acts as
-    --max-level, the default ceiling is 8, and the identity/membership
-    sweeps stay capped at 8 regardless (the dedicated families reach the
-    higher levels).
+    --max-level, the default ceiling is 8, and the lemma6/thm1/thm2 sweeps
+    stay capped at 8 regardless (the dedicated families reach the higher
+    levels).
     """
+    if target == "all":
+        top = next((v for v in (max_level, level) if v is not None), _IDENTITY_CAP)
 
-    def span(lo: int, cap: int) -> range:
-        if target != "all" and level is not None:
+    def levels(lo: int, default: int, capped: bool = False) -> range:
+        if target == "all":
+            return range(lo, (min(top, default) if capped else top) + 1)
+        if level is not None:
             return range(level, level + 1)
-        top = max_level if max_level is not None else cap
-        if target == "all":
-            top = max_level if max_level is not None else (level or _IDENTITY_CAP)
-        return range(lo, top + 1)
+        return range(lo, (default if max_level is None else max_level) + 1)
 
-    def capped_span(lo: int, cap: int) -> range:
-        r = span(lo, cap)
-        if target == "all":
-            return range(r.start, min(r.stop, _IDENTITY_CAP + 1))
-        return r
-
-    tasks: list[tuple] = []
+    tasks: list[_Task] = []
     if target in ("lemma5", "all"):
-        for i in span(1, _IDENTITY_CAP):
-            tasks.append(("identities", i, 0, True, False))
+        for i in levels(1, _IDENTITY_CAP):
+            kwargs = {"base": True, "iterated": False}
+            tasks.append(_Task(f"lemma5.i{i:02d}", "verify_identities", (i, 0), kwargs))
     if target in ("lemma6", "all"):
-        for i in capped_span(2, _IDENTITY_CAP):
-            tasks.append(("identities", i, i - 1, False, True))
+        for i in levels(2, _IDENTITY_CAP, capped=True):
+            kwargs = {"base": False, "iterated": True}
+            tasks.append(_Task(f"lemma6.i{i:02d}", "verify_identities", (i, i - 1), kwargs))
     if target in ("thm1", "thm2", "all"):
-        theorems = (1, 2) if target == "all" else (int(target[3]),)
-        for theorem in theorems:
-            for i in capped_span(2, _IDENTITY_CAP):
-                tasks.append(("membership", theorem, i))
+        for theorem in (1, 2) if target == "all" else (int(target[3]),):
+            for i in levels(2, _IDENTITY_CAP, capped=True):
+                tasks.append(_Task(f"thm{theorem}.i{i:02d}", "verify_membership", (theorem, i)))
     if target in ("thm5", "all"):
-        for j in span(5, _HEAVY_CAP):
-            tasks.append(("thm5", j, table))
+        for j in levels(5, _HEAVY_CAP):
+            tasks.append(_Task(f"thm5.j{j:02d}.factorization", "verify_thm5", (j, table)))
     if target in ("cor", "all"):
-        for i in span(2, _HEAVY_CAP):
-            tasks.append(("cor", i, table))
+        for i in levels(2, _HEAVY_CAP):
+            tasks.append(_Task(f"cor.i{i:02d}.factorization", "verify_corollaries", (i, table)))
     if target in ("example-l2", "all"):
-        tasks.append(("example", table))
+        tasks.append(_Task("l2ex.error", "verify_closing_example", (table,)))
     return tasks
 
 

@@ -25,7 +25,7 @@ class ExactDivError(NimtowerError):
 
 
 class LevelError(NimtowerError):
-    """A level or index is outside the allowed range."""
+    """A level, index or exponent size is outside the allowed range."""
 
 
 class LevelMismatch(NimtowerError):

@@ -10,7 +10,11 @@ Grammar (whitespace insignificant):
     intatom := decimal | 'N'digits | '(' intexpr ')'
 
 Exponents are plain naturals; ``N<j>`` resolves to the Fermat number
-2^(2^j)+1 (j <= MAX_LEVEL + 1) and ``/`` must divide exactly.  An expression
+2^(2^j)+1 (j <= MAX_LEVEL + 1) and ``/`` must divide exactly.  Exponent
+arithmetic is exact, so its sizes are bounded: a product may have at most
+MAX_EXPONENT_BITS bits, and the bit lengths of a division's operands may
+multiply to at most MAX_DIVISION_WORK (CPython divides big integers in
+quadratic time).  Either overrun is a LevelError.  An expression
 evaluates at the highest level among its atoms; hex atoms take an explicit
 ``@L<k>`` level or adopt the expression's.  Parentheses nest at most
 MAX_NESTING deep; deeper input is a ParseError, not a RecursionError.
@@ -20,13 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivideByZero, ExactDivError, ParseError
+from .errors import DivideByZero, ExactDivError, LevelError, ParseError
 from .fermat import fermat_number
-from .tower import TowerElement, generator, _min_level_for
+from .tower import MAX_LEVEL, TowerElement, _min_level_for, generator, width_of
 
 # Deepest parenthesis nesting accepted.  Each level costs the recursive
 # descent four stack frames, far below the interpreter's default limit.
 MAX_NESTING = 100
+
+# Bounds on exact exponent arithmetic, each about 10 ms of work at most.
+# A product may reach twice the top level's width; a division covers N_j/p
+# for every j <= MAX_LEVEL + 1 and p below 2048 bits.
+MAX_EXPONENT_BITS = 2 * width_of(MAX_LEVEL)
+MAX_DIVISION_WORK = 1 << 32
 
 
 # Element nodes.
@@ -274,8 +284,12 @@ def eval_int(node) -> int:
     for op in reversed(spine):
         rhs = eval_int(op.right)
         if isinstance(op, IntMul):
+            if acc.bit_length() + rhs.bit_length() > MAX_EXPONENT_BITS:
+                raise LevelError(f"exponent product above {MAX_EXPONENT_BITS} bits")
             acc *= rhs
             continue
+        if acc.bit_length() * rhs.bit_length() > MAX_DIVISION_WORK:
+            raise LevelError(f"exponent division operands above {MAX_DIVISION_WORK} bits squared")
         acc, r = divrem(acc, rhs)
         if r != 0:
             raise ExactDivError(f"exponent division is not exact (remainder {r})")

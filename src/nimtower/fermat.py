@@ -4,10 +4,13 @@ group orders of the tower's multiplicative groups.
 The multiplicative group at level i has exactly N_0 * N_1 * ... * N_i
 elements, so complete factorizations of the first twelve Fermat numbers are
 what make exact order computation possible up to level 11.  The factor
-strings are embedded as data; every load path re-multiplies them and checks
-the product against 2^(2^j)+1, so a corrupted table cannot be used
-silently.  The builtin table is checked once per process; a factor file is
-checked on every load, and each of its factors must also pass Miller-Rabin.
+strings are embedded as data.  One rule set says what a table entry must
+meet: its factors are distinct, greater than 1 and multiply to
+2^(2^j)+1, each is 1 mod 2^(j+2) for j >= 2, and optionally each passes
+Miller-Rabin.  `validate` reports every rule as a record; loading raises
+ValidationError at the first rule an entry breaks, so a corrupted table
+cannot be used silently.  The builtin table is checked once per process,
+without Miller-Rabin; a factor file is checked on every load, with it.
 Beyond N_11 no complete factorization is known, and operations that need
 one fail with MissingFactorization.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
+from math import gcd, prod
 
 from .errors import LevelError, MissingFactorization, ParseError, ValidationError
 from .report import VerificationReport
@@ -102,38 +105,53 @@ class FermatFactorization:
     j: int
     factors: tuple[int, ...]
 
-    def check(self) -> None:
-        """Raise ValidationError unless the entry is internally consistent."""
-        product = 1
-        for p in self.factors:
-            product *= p
-        if product != fermat_number(self.j):
-            raise ValidationError(
-                f"N{self.j}: factor product does not equal 2^(2^{self.j})+1"
-            )
-        if len(set(self.factors)) != len(self.factors):
-            raise ValidationError(f"N{self.j}: repeated factor")
-        if any(p <= 1 for p in self.factors):
-            raise ValidationError(f"N{self.j}: factor <= 1")
-        if self.j >= 2:
-            modulus = 1 << (self.j + 2)
-            for p in self.factors:
-                if p % modulus != 1:
-                    raise ValidationError(
-                        f"N{self.j}: factor {p} is not 1 mod 2^{self.j + 2}"
-                    )
+
+def _entry_rules(
+    entry: FermatFactorization, check_primality: bool = False, mr_rounds: int = 64, seed: int = 0
+):
+    """Yield (rule, detail, fault) for each rule a table entry must meet,
+    fault being None when it holds, else the first offence.  The rules are
+    lazy, so a loader stops at the first fault before the costly ones."""
+    j, factors = entry.j, entry.factors
+    if prod(factors) != fermat_number(j):
+        fault = f"factor product does not equal 2^(2^{j})+1"
+    elif len(set(factors)) < len(factors):
+        fault = "repeated factor"
+    elif min(factors) <= 1:
+        fault = "factor <= 1"
+    else:
+        fault = None
+    yield "product", f"{len(factors)} factors multiply to 2^(2^{j})+1", fault
+    if j >= 2:
+        modulus = 1 << (j + 2)
+        bad = next((p for p in factors if p % modulus != 1), None)
+        yield (
+            "divisor-congruence",
+            f"every factor is 1 mod 2^{j + 2}",
+            None if bad is None else f"factor {bad} is not 1 mod 2^{j + 2}",
+        )
+    if check_primality:
+        bad = next((p for p in factors if not is_probable_prime(p, mr_rounds, seed)), None)
+        yield (
+            "primality",
+            f"Miller-Rabin x{mr_rounds} on {len(factors)} factors",
+            None if bad is None else f"factor {bad} is not prime",
+        )
 
 
-def _make_entry(j: int, factors: list[int]) -> FermatFactorization:
+def _make_entry(j: int, factors: list[int], check_primality: bool) -> FermatFactorization:
+    """The entry for N_j; ValidationError names the first rule it breaks."""
     entry = FermatFactorization(j, tuple(sorted(factors)))
-    entry.check()
+    for _, _, fault in _entry_rules(entry, check_primality):
+        if fault:
+            raise ValidationError(f"N{j}: {fault}")
     return entry
 
 
 @cache
 def _builtin_entries() -> tuple[FermatFactorization, ...]:
     return tuple(
-        _make_entry(j, [from_decimal(s) for s in strings])
+        _make_entry(j, [from_decimal(s) for s in strings], check_primality=False)
         for j, strings in sorted(_FACTOR_STRINGS.items())
     )
 
@@ -165,10 +183,7 @@ def load_factor_table(source: str) -> list[FermatFactorization]:
         parts = tail.split()
         if not parts:
             raise ParseError(f"line {lineno}: no factors for N{j}")
-        entries[j] = _make_entry(j, [from_decimal(p) for p in parts])
-        composite = [p for p in entries[j].factors if not is_probable_prime(p)]
-        if composite:
-            raise ValidationError(f"N{j}: factor {composite[0]} is not prime")
+        entries[j] = _make_entry(j, [from_decimal(p) for p in parts], check_primality=True)
     return [entries[j] for j in sorted(entries)]
 
 
@@ -226,48 +241,22 @@ def validate(
 ) -> VerificationReport:
     """Re-check everything the table claims, as report records.
 
-    Covers the product identity per level, the divisor congruence
-    1 mod 2^(j+2) for j >= 2, cross-level distinctness (any two Fermat
+    Covers every entry's rules (one record per rule, the FAIL detail
+    naming the first offence), cross-level distinctness (any two Fermat
     numbers are coprime, so a shared prime is impossible), the recurrence
-    N_i = N_0*...*N_{i-1} + 2, gcd(N_i + 1, N_j) = 1 for 1 <= j < i, and
-    optionally Miller-Rabin primality of every factor.
+    N_i = N_0*...*N_{i-1} + 2, and gcd(N_i + 1, N_j) = 1 for 1 <= j < i.
     """
     report = VerificationReport()
     seen: dict[int, int] = {}
     duplicates: list[str] = []
     for entry in table:
         j = entry.j
-        product = 1
-        for p in entry.factors:
-            product *= p
-        report.add(
-            f"table.N{j:02d}.product",
-            product == fermat_number(j) and all(p > 1 for p in entry.factors),
-            f"{len(entry.factors)} factors multiply to 2^(2^{j})+1",
-        )
-        if j >= 2:
-            modulus = 1 << (j + 2)
-            bad = [p for p in entry.factors if p % modulus != 1]
-            report.add(
-                f"table.N{j:02d}.divisor-congruence",
-                not bad,
-                f"every factor is 1 mod 2^{j + 2}"
-                + (f"; offenders {bad}" if bad else ""),
-            )
+        for rule, detail, fault in _entry_rules(entry, check_primality, mr_rounds, seed):
+            report.add(f"table.N{j:02d}.{rule}", fault is None, fault or detail)
         for p in entry.factors:
             if p in seen and seen[p] != j:
                 duplicates.append(f"{p} in N{seen[p]} and N{j}")
             seen[p] = j
-        if check_primality:
-            composite = [
-                p for p in entry.factors if not is_probable_prime(p, mr_rounds, seed)
-            ]
-            report.add(
-                f"table.N{j:02d}.primality",
-                not composite,
-                f"Miller-Rabin x{mr_rounds} on {len(entry.factors)} factors"
-                + (f"; composite {composite}" if composite else ""),
-            )
     report.add(
         "table.pairwise-distinct",
         not duplicates,

@@ -21,6 +21,7 @@ identity and membership suites walk the norm chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from .errors import LevelError, NotAnExponent, ZeroElement
@@ -42,7 +43,9 @@ from .tower import (
     width_of,
 )
 
-_order_cache: dict[tuple[int, int, int], FactoredOrder] = {}
+# Orders kept by _order, least recently used dropped first: enough for
+# every distinct query of a verify sweep or a query-mix pass.
+_ORDER_CACHE_SIZE = 1024
 
 
 def _table_or_builtin(table):
@@ -130,20 +133,18 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
     """
     if x.value == 0:
         raise ZeroElement("zero has no multiplicative order")
-    key = (x.level, x.value, n.value)
-    hit = _order_cache.get(key)
-    if hit is not None:
-        return hit
+    return _order(x.level, x.value, n)
+
+
+@lru_cache(maxsize=_ORDER_CACHE_SIZE)
+def _order(level: int, v: int, n: FactoredOrder) -> FactoredOrder:
     multiplicities: dict[int, int] = {}
-    v, level = x.value, x.level
     while v != 1:
         n_j = fermat_number(level)
         v, found = _level_step(v, level, [(p, e) for p, e in n.factors if n_j % p == 0])
         multiplicities.update(found)
         level -= 1
-    result = FactoredOrder.from_prime_powers(multiplicities)
-    _order_cache[key] = result
-    return result
+    return FactoredOrder.from_prime_powers(multiplicities)
 
 
 def is_primitive(
@@ -173,8 +174,8 @@ def minimal_subfield_exponent(
 
 @dataclass(frozen=True)
 class AlphaChain:
-    """Minimal-exponent chain [α_i, ..., α_1] for c_i (or a_i), each α_j a
-    divisor of N_j greater than 1, whose product is the element's order."""
+    """Minimal-exponent chain [α_i, ..., α_1] for c_i (or a_i), each α_m
+    checked to be N_m, whose product is the element's order."""
 
     i: int
     base: str
@@ -182,10 +183,7 @@ class AlphaChain:
 
     @property
     def product(self) -> int:
-        out = 1
-        for a in self.alphas:
-            out *= a
-        return out
+        return prod(self.alphas)
 
 
 def alpha_chain(
@@ -193,11 +191,14 @@ def alpha_chain(
 ) -> AlphaChain:
     """Descend base^(α_i * α_{i-1} * ...) one subfield per step.
 
-    α_i is the smallest exponent sending the base element into level i-1;
-    each later α_m is the smallest exponent sending the accumulated power
-    from level m into level m-1, the order of its conj(v)/v, a divisor of
-    N_m.  When α_m = N_m the next power is the step's norm.  The final
-    accumulated power must be 1, which is checked.
+    α_m is the smallest exponent sending the accumulated power from level m
+    into level m-1: the order of its conj(v)/v, a divisor of N_m.  For both
+    bases it must be N_m itself.  conj(a_m)/a_m = conj(c_m)/c_m, since
+    a_m/c_m = a_(m-1) is fixed by conj, and its order is N_m by Theorem 5.
+    Below the top the accumulated power is a_m raised to a power of 3
+    modulo N_m (each N_k + 1, k > m, is 3 modulo N_m), and 3 does not
+    divide N_m.  So each step's power is its norm, and any α_m other than
+    N_m, or a final power other than 1, raises NotAnExponent.
     """
     if base not in ("c", "a"):
         raise ValueError(f"base must be 'c' or 'a', got {base!r}")
@@ -208,14 +209,10 @@ def alpha_chain(
     v = generator(base, i, i).value
     alphas: list[int] = []
     for m in range(i, 0, -1):
-        norm, alpha = _down_step(v, entries[m])
-        if alpha <= 1:
-            raise NotAnExponent(
-                f"step at level {m} degenerated: accumulated power was already "
-                f"in the subfield"
-            )
+        v, alpha = _down_step(v, entries[m])
+        if alpha != fermat_number(m):
+            raise NotAnExponent(f"alpha_{m} = {alpha} is not N_{m}")
         alphas.append(alpha)
-        v = norm if alpha == fermat_number(m) else pow_values(v, alpha, width_of(m))
     if v != 1:
         raise NotAnExponent("alpha chain did not terminate at 1")
     return AlphaChain(i, base, tuple(alphas))

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from nimtower.cli import main, parse_nat
@@ -186,6 +188,39 @@ def test_verify_jobs_output_identical(capsys):
     _, seq, _ = run(capsys, "verify", "lemma6", "--max-level", "4")
     _, par, _ = run(capsys, "verify", "lemma6", "--max-level", "4", "--jobs", "2")
     assert seq == par
+
+
+def test_verify_all_jobs_matches_golden(capsys):
+    # every task record kind is pickled into a worker process
+    golden = Path(__file__).parents[1] / "perfbench/golden/verify_all_max-level_4_jobs_1.txt"
+    code, out, _ = run(capsys, "verify", "all", "--max-level", "4", "--jobs", "2")
+    assert code == 1 and out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "target, level, check_id",
+    [
+        ("lemma5", "0", "lemma5.i00"),
+        ("lemma6", "0", "lemma6.i00"),
+        ("thm2", "1", "thm2.i01"),
+        ("cor", "1", "cor.i01.factorization"),
+    ],
+)
+def test_verify_error_records_name_their_family(capsys, target, level, check_id):
+    code, out, _ = run(capsys, "verify", target, "--level", level)
+    assert code == 1
+    [line] = out.splitlines()
+    assert line.startswith(f"FAIL {check_id} LevelError: ")
+
+
+def test_verify_all_level_acts_as_max_level(capsys):
+    for top in ("0", "3"):
+        _, by_level, _ = run(capsys, "verify", "all", "--level", top)
+        _, by_max, _ = run(capsys, "verify", "all", "--max-level", top)
+        assert by_level == by_max
+    # below every family's first level only the level-2 example is left
+    _, out, _ = run(capsys, "verify", "all", "--level", "0")
+    assert {line.split()[1].split(".")[0] for line in out.splitlines()} == {"l2ex"}
 
 
 def test_verify_single_level_flag(capsys):

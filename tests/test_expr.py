@@ -1,6 +1,7 @@
 """Tests for the element-expression parser and evaluator."""
 
 import random
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from nimtower.expr import (
     eval_int,
     parse_expr,
 )
+from nimtower.fermat import fermat_number
 
 
 P62 = 93461639715357977769163558199606896584051237541638188580280321
@@ -184,3 +186,31 @@ def test_eval_matches_manual_arithmetic():
     c1 = generator("c", 1, 2)
     one = generator("one", 0, 2)
     assert lhs == (c2 + c1) * (c1 + one)
+
+
+def test_hostile_exponents_are_refused_quickly():
+    # exact exponent arithmetic on Fermat numbers: the first three took
+    # 9.5 s, 52.6 s and 8.2 s when operand sizes were unbounded
+    hostile = (
+        "c1^(N21*N21/N21)",
+        "c1^(N21*N21*N21*N21/N21/N21/N21)",
+        "c1^(" + "*".join(["N21"] * 40) + ")",
+        "c1^(N21*N20/N20)",
+        "c1^(N21/N20)",
+        "c1^((N21*N20)*(N21*N20))",
+        "c1^(N20*N20*N20*N20*N20)",
+    )
+    for text in hostile:
+        started = time.perf_counter()
+        with pytest.raises(LevelError, match="exponent"):
+            evaluate(text)
+        assert time.perf_counter() - started < 1.0, text
+
+
+def test_exponent_bounds_admit_every_tabulated_quotient(table):
+    for entry in table:
+        for p in entry.factors:
+            exponent = parse_expr(f"c{entry.j}^(N{entry.j}/{p})").exponent
+            assert eval_int(exponent) == fermat_number(entry.j) // p
+    widest = parse_expr("c1^(N21*N20)").exponent
+    assert eval_int(widest) == fermat_number(21) * fermat_number(20)

@@ -323,6 +323,22 @@ def test_alpha_chain_invariants(table):
             assert chain.product == multiplicative_order(x, n).value
 
 
+def test_alpha_chain_rejects_an_alpha_below_n(table, monkeypatch):
+    # every alpha_m of c_i and a_i is N_m; a step that finds a proper divisor
+    # of N_m (641 divides N_5) breaks that invariant and must not be reported
+    step = orders._down_step
+
+    def short_at_level_5(v, entry):
+        norm, d = step(v, entry)
+        return norm, 641 if entry.j == 5 else d
+
+    monkeypatch.setattr(orders, "_down_step", short_at_level_5)
+    for base in ("c", "a"):
+        with pytest.raises(NotAnExponent, match="alpha_5 = 641"):
+            alpha_chain(6, base, table)
+    assert alpha_chain(4, "c", table).alphas == (65537, 257, 17, 5)
+
+
 def test_alpha_chain_matches_fermat_products(table):
     for i in (2, 3, 4, 5):
         expected = 1
@@ -474,6 +490,14 @@ def test_closing_example_true_arithmetic(table):
     n2 = group_order(2, table)
     assert multiplicative_order(TowerElement(2, 0x15), n2).value == 85
     assert multiplicative_order(TowerElement(2, 0x48), n2).value == 17
+
+
+def test_order_cache_is_bounded(table):
+    n = group_order(4, table)
+    for value in range(2, orders._ORDER_CACHE_SIZE + 100):
+        multiplicative_order(TowerElement(4, value), n)
+    info = orders._order.cache_info()
+    assert info.currsize == info.maxsize == orders._ORDER_CACHE_SIZE
 
 
 def test_order_cache_reuse(table):
