@@ -2,6 +2,7 @@
 an order/primitivity verification engine with factored Fermat-number data."""
 
 from .errors import (
+    ArithmeticFault,
     DivideByZero,
     ExactDivError,
     LevelError,
@@ -37,6 +38,7 @@ from .tower import TowerElement, format_element, generator, parse_hex, random_el
 
 __all__ = [
     "AlphaChain",
+    "ArithmeticFault",
     "CheckRecord",
     "DivideByZero",
     "ExactDivError",

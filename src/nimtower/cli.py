@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import expr, fermat, oracle, orders, tower
@@ -34,9 +33,8 @@ def _load_table(path: str | None):
 
 
 # ---------------------------------------------------------------------------
-# Verification task fan-out.  A task is a record a process pool can ship to
-# workers; results are merged and sorted regardless of which worker finished
-# first.
+# Verification tasks.  All run in one process, in plan order, so that they
+# share the order engine's step memo; the report sorts the merged records.
 
 
 @dataclass(frozen=True)
@@ -102,18 +100,6 @@ def _plan_tasks(target: str, level: int | None, max_level: int | None, table) ->
     return tasks
 
 
-def _run_tasks(tasks, jobs: int) -> VerificationReport:
-    report = VerificationReport()
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for records in pool.map(_run_verify_task, tasks):
-                report.records.extend(records)
-    else:
-        for task in tasks:
-            report.records.extend(_run_verify_task(task))
-    return report
-
-
 def _emit_report(report: VerificationReport, timing: float | None = None) -> int:
     for line in report.lines():
         print(line)
@@ -137,10 +123,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_order(args) -> int:
     element = expr.evaluate(args.expression)
+    element = element.lift(max(element.level, 0))  # L_-1 holds only 0 and 1
     table = _load_table(args.factor_file)
-    if element.level < 0:
-        print("1")
-        return 0
     n = fermat.group_order(element.level, table)
     order = orders.multiplicative_order(element, n)
     if order.factors:
@@ -183,6 +167,14 @@ def _cmd_factors(args) -> int:
     return _emit_report(report)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -219,7 +211,7 @@ def _cmd_verify(args) -> int:
     table = _load_table(args.factor_file)
     tasks = _plan_tasks(args.target, args.level, args.max_level, table)
     started = time.perf_counter()
-    report = _run_tasks(tasks, args.jobs)
+    report = VerificationReport([r for task in tasks for r in _run_verify_task(task)])
     elapsed = time.perf_counter() - started if args.timing else None
     return _emit_report(report, elapsed)
 
@@ -294,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factors", help="print and validate the Fermat factor table")
     add_factor_file(p)
     p.add_argument("--check-primality", action="store_true")
-    p.add_argument("--mr-rounds", type=int, default=64)
+    p.add_argument("--mr-rounds", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_factors)
 
@@ -305,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="cross-check tower multiplication against the oracles")
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_oracle_check)
 
@@ -317,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=None, help="run a single level")
     p.add_argument("--max-level", type=int, default=None, help="sweep up to this level")
     add_factor_file(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, choices=(1,), default=1, help="only 1: checks share a memo")
     p.add_argument("--timing", action="store_true", help="append an elapsed-time comment")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="informational throughput figures per level")
     p.add_argument("--max-level", type=int, default=8)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 

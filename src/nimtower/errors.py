@@ -62,3 +62,7 @@ class ValidationError(NimtowerError):
 
 class OutOfOracleRange(NimtowerError):
     """An argument exceeds the bound of the exhaustive oracle."""
+
+
+class ArithmeticFault(NimtowerError):
+    """A computed value broke a field identity such as norm(conj(x)/x) = 1."""

@@ -5,8 +5,10 @@ Orders follow the tower itself.  At level j the group order splits into
 coprime parts, 2^w - 1 = (2^(w/2) - 1) * N_j, so the order of x is the
 order of conj(x)/x, a divisor of N_j tested against N_j's few primes at
 exponents of about w/2 bits, times the order of the norm x*conj(x) one
-level down at half width.  Results are cached: the corollary sweep asks
-for the same handful of orders many times.
+level down at half width.  Elements that differ by a factor from one level
+down share conj(x)/x, as c_i, a_i, c_i*c_0, a_i*a_0 and thm5 do at level
+i, so one bounded memo keeps the part of a step that depends only on y =
+conj(x)/x, and certifies each y once: norm(y) = y^(N_j) must be 1.
 
 Every subfield question is answered by the same two facts.  conj fixes
 exactly L_(j-1), so x^d lies one level down exactly when (conj(x)/x)^d = 1:
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .errors import LevelError, NotAnExponent, ZeroElement
+from .errors import ArithmeticFault, LevelError, NotAnExponent, ZeroElement
 from .fermat import (
     FactoredOrder,
     FermatFactorization,
@@ -43,9 +45,9 @@ from .tower import (
     width_of,
 )
 
-# Orders kept by _order, least recently used dropped first: enough for
-# every distinct query of a verify sweep or a query-mix pass.
-_ORDER_CACHE_SIZE = 1024
+# Descent steps kept by _y_step, least recently used dropped first: enough
+# for every distinct step of a verify sweep or a query-mix pass.
+_STEP_CACHE_SIZE = 1024
 
 
 def _table_or_builtin(table):
@@ -70,26 +72,33 @@ def _cofactor_powers(v: int, w: int, blocks: list[int]) -> list[int]:
 
 def _level_step(
     v: int, level: int, factors: list[tuple[int, int]]
-) -> tuple[int, dict[int, int]]:
-    """One step of the descent for nonzero v in L_level.
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """One step of the descent for nonzero v in L_level: the norm
+    v*conj(v) = v^(N_level), which lies one level down, and the _y_step
+    multiplicities of y = conj(v)/v for prime powers `factors` of N_level."""
+    y, norm = norm_split_values(v, width_of(level))
+    return norm, (() if y == 1 else _y_step(y, level, tuple(sorted(factors))))
 
-    Returns the norm v*conj(v) = v^(N_level), which lies one level down,
-    and the multiplicity in the order of y = conj(v)/v of each prime p of
-    `factors`, prime powers (p, e) dividing N_level with product g: each
-    cofactor power y^(g/p^e) has order p^a, and counting the p-power steps
-    down to 1 recovers a.  Raises NotAnExponent unless y^g = 1, which is
-    free when N_level divides g.
+
+@lru_cache(maxsize=_STEP_CACHE_SIZE)
+def _y_step(
+    y: int, level: int, factors: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    """(p, a) for each prime power (p, e) of `factors`, with product g, a
+    being p's multiplicity in the order of y != 1 in L_level: each cofactor
+    power y^(g/p^e) has order p^a, and counting the p-power steps down to 1
+    recovers a.  Raises ArithmeticFault unless norm(y) = y^(N_level) = 1,
+    and NotAnExponent unless y^g = 1, which is free when N_level divides g.
     """
     w = width_of(level)
-    y, norm = norm_split_values(v, w)
-    if y == 1:
-        return norm, {}
+    if norm_value(y, w) != 1:
+        raise ArithmeticFault(f"conj(x)/x has norm != 1 at level {level}")
     g = prod(p**e for p, e in factors)
     if g % fermat_number(level) and pow_values(y, g, w) != 1:
         raise NotAnExponent(
             "x^n != 1 for the claimed group order; wrong factor table or level"
         )
-    multiplicities = {}
+    multiplicities = []
     for (p, e), z in zip(factors, _cofactor_powers(y, w, [p**e for p, e in factors])):
         t = 0
         while z != 1:
@@ -97,15 +106,15 @@ def _level_step(
             if t == e:
                 break  # z^(p^(e-t)) = y^g = 1 is already known
             z = pow_values(z, p, w)
-        multiplicities[p] = t
-    return norm, multiplicities
+        multiplicities.append((p, t))
+    return tuple(multiplicities)
 
 
 def _down_step(v: int, entry: FermatFactorization) -> tuple[int, int]:
     """(v^(N_j), d) for nonzero v in L_j, j = entry.j: the norm, and the
     smallest d > 0 with v^d in L_(j-1), which is the order of conj(v)/v."""
     norm, found = _level_step(v, entry.j, [(p, 1) for p in entry.factors])
-    return norm, prod(p**t for p, t in found.items())
+    return norm, prod(p**t for p, t in found)
 
 
 def _norm_chain(v: int, level: int, steps: int) -> list[int]:
@@ -133,11 +142,7 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
     """
     if x.value == 0:
         raise ZeroElement("zero has no multiplicative order")
-    return _order(x.level, x.value, n)
-
-
-@lru_cache(maxsize=_ORDER_CACHE_SIZE)
-def _order(level: int, v: int, n: FactoredOrder) -> FactoredOrder:
+    level, v = x.level, x.value
     multiplicities: dict[int, int] = {}
     while v != 1:
         n_j = fermat_number(level)
@@ -412,17 +417,15 @@ def verify_corollaries(
         f"orders at level {i} meet the divisor-congruence lower bound",
     )
 
-    prim_c, idx_c = is_primitive(cc0, tab)
-    prim_a, idx_a = is_primitive(aa0, tab)
+    # an element's index is |G| / O(x); primitive means index 1
     report.add(
         f"cor.i{i:02d}.primitive",
-        prim_c and prim_a and idx_c == 1 and idx_a == 1,
+        n.value // o_cc0.value == n.value // o_aa0.value == 1,
         f"c_{i}*c_0 and a_{i}*a_0 generate the group",
     )
-    prim_ci, idx_ci = is_primitive(c_i, tab)
     report.add(
         f"cor.i{i:02d}.c-index",
-        (prim_ci, idx_ci) == (False, 3),
+        n.value // o_c.value == 3,
         f"c_{i} is not primitive; its index is 3",
     )
     report.add(
@@ -452,8 +455,7 @@ def verify_closing_example(table: list[FermatFactorization] | None = None) -> Ve
     admissible root choice of the tower's defining quadratics, so the FAIL
     records are the expected output here.
     """
-    tab = _table_or_builtin(table)
-    n = group_order(2, tab)
+    n = group_order(2, _table_or_builtin(table))
     report = VerificationReport()
     c2 = _cgen(2)
     c2c0 = c2.mul(generator("c", 0, 2))
@@ -461,8 +463,7 @@ def verify_closing_example(table: list[FermatFactorization] | None = None) -> Ve
     report.add("l2ex.order-c2", o_c2.value == 85, "O(c_2) = 5 * 17 = 85")
     o_c2c0 = multiplicative_order(c2c0, n)
     report.add("l2ex.order-c2c0", o_c2c0.value == 255, "O(c_2*c_0) = 3 * 5 * 17 = 255")
-    prim, idx = is_primitive(c2c0, tab)
-    report.add("l2ex.primitive", prim and idx == 1, "c_2*c_0 is primitive in L_2")
+    report.add("l2ex.primitive", n.value // o_c2c0.value == 1, "c_2*c_0 is primitive in L_2")
     fifth = c2.pow(5)
     claimed = TowerElement(2, 0b10101)  # c_2 + c_1 + 1
     report.add(

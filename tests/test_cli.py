@@ -51,6 +51,13 @@ def test_order(capsys):
     assert out == "1\n"
 
 
+def test_order_of_zero_exit_1(capsys):
+    for expression in ("0", "0x0@L3"):
+        code, out, err = run(capsys, "order", expression)
+        assert code == 1 and out == ""
+        assert "ZeroElement" in err, expression
+
+
 def test_order_missing_factorization_exit_1(capsys):
     code, _, err = run(capsys, "order", "c12")
     assert code == 1
@@ -184,16 +191,13 @@ def test_verify_report_grammar_and_determinism(capsys):
     assert ids == sorted(ids)
 
 
-def test_verify_jobs_output_identical(capsys):
-    _, seq, _ = run(capsys, "verify", "lemma6", "--max-level", "4")
-    _, par, _ = run(capsys, "verify", "lemma6", "--max-level", "4", "--jobs", "2")
-    assert seq == par
-
-
-def test_verify_all_jobs_matches_golden(capsys):
-    # every task record kind is pickled into a worker process
+def test_verify_jobs_accepts_only_1(capsys):
+    # verify runs in one process so that its tasks share the step memo
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--max-level", "4", "--jobs", "2"])
+    assert exc.value.code == 2
     golden = Path(__file__).parents[1] / "perfbench/golden/verify_all_max-level_4_jobs_1.txt"
-    code, out, _ = run(capsys, "verify", "all", "--max-level", "4", "--jobs", "2")
+    code, out, _ = run(capsys, "verify", "all", "--max-level", "4", "--jobs", "1")
     assert code == 1 and out == golden.read_text(encoding="utf-8")
 
 
@@ -269,6 +273,23 @@ def test_bench_builds_tables_before_timing(capsys, monkeypatch):
     monkeypatch.setattr(cli, "time", clock)
     code, _, _ = run(capsys, "bench", "--max-level", "0", "--samples", "2")
     assert code == 0 and events[0] == "build"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--max-level", "0", "--samples", "0"),
+        ("oracle-check", "--level", "3", "--samples", "0"),
+        ("oracle-check", "--level", "3", "--samples", "-5"),
+        ("factors", "--check-primality", "--mr-rounds", "-1"),
+        ("factors", "--mr-rounds", "0"),
+    ],
+)
+def test_count_flags_need_a_positive_integer(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2():

@@ -13,8 +13,9 @@ import random
 
 import pytest
 
-from nimtower import fermat, orders, tower
+from nimtower import cli, fermat, orders, tower
 from nimtower.errors import (
+    ArithmeticFault,
     LevelError,
     MissingFactorization,
     NotAnExponent,
@@ -492,16 +493,45 @@ def test_closing_example_true_arithmetic(table):
     assert multiplicative_order(TowerElement(2, 0x48), n2).value == 17
 
 
-def test_order_cache_is_bounded(table):
+def test_step_memo_is_bounded(table):
+    # (k*c_4 + 1) differ by no L_3 factor, so every k is a new level-4 y
     n = group_order(4, table)
-    for value in range(2, orders._ORDER_CACHE_SIZE + 100):
-        multiplicative_order(TowerElement(4, value), n)
-    info = orders._order.cache_info()
-    assert info.currsize == info.maxsize == orders._ORDER_CACHE_SIZE
+    for k in range(1, orders._STEP_CACHE_SIZE + 100):
+        multiplicative_order(TowerElement(4, k << 16 | 1), n)
+    info = orders._y_step.cache_info()
+    assert info.currsize == info.maxsize == orders._STEP_CACHE_SIZE
 
 
-def test_order_cache_reuse(table):
-    n = group_order(3, table)
-    x = generator("c", 3, 3)
-    first = multiplicative_order(x, n)
-    assert multiplicative_order(x, n) is first
+def test_corollaries_and_thm5_share_the_level_step(table, monkeypatch):
+    # c_i, a_i, c_i*c_0, a_i*a_0 and thm5 all ask about conj(c_i)/c_i
+    level = 6
+    w = width_of(level)
+    computed = []  # one certifying norm per step computed
+    norm_value = orders.norm_value
+    monkeypatch.setattr(
+        orders, "norm_value", lambda v, width: (computed.append(width), norm_value(v, width))[1]
+    )
+    orders._y_step.cache_clear()
+    assert verify_corollaries(level, table).passed
+    before = orders._y_step.cache_info()
+    assert verify_thm5(level, table).passed
+    after = orders._y_step.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert computed.count(w) == 1
+
+
+def _wrong_y(v, w):
+    y, norm = tower.norm_split_values(v, w)
+    return (y ^ 2 if y != 1 else y), norm
+
+
+def test_a_step_with_a_wrong_y_is_refused(table, monkeypatch):
+    # a memoized step is reused everywhere, so its y is certified once:
+    # norm(y) = y^(N_j) = 1 must hold, else no answer is given
+    monkeypatch.setattr(orders, "norm_split_values", _wrong_y)
+    with pytest.raises(ArithmeticFault):
+        multiplicative_order(generator("c", 5, 5), group_order(5, table))
+    with pytest.raises(ArithmeticFault):
+        verify_thm5(5, table)
+    [record] = cli._run_verify_task(cli._Task("thm5.j05.factorization", "verify_thm5", (5,)))
+    assert not record.ok and record.detail.startswith("ArithmeticFault: ")
