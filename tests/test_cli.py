@@ -191,14 +191,24 @@ def test_verify_report_grammar_and_determinism(capsys):
     assert ids == sorted(ids)
 
 
-def test_verify_jobs_accepts_only_1(capsys):
-    # verify runs in one process so that its tasks share the step memo
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "all", "--max-level", "4", "--jobs", "2"])
-    assert exc.value.code == 2
+def test_verify_jobs_output_identical(capsys):
+    _, default, _ = run(capsys, "verify", "lemma6", "--max-level", "4")
+    _, one, _ = run(capsys, "verify", "lemma6", "--max-level", "4", "--jobs", "1")
+    assert default == one
+
+
+def test_verify_all_jobs_matches_golden(capsys):
     golden = Path(__file__).parents[1] / "perfbench/golden/verify_all_max-level_4_jobs_1.txt"
     code, out, _ = run(capsys, "verify", "all", "--max-level", "4", "--jobs", "1")
     assert code == 1 and out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("jobs", ["2", "0"])
+def test_verify_jobs_accepts_only_1(capsys, jobs):
+    # verify runs in one process so that its tasks share the step memo
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--max-level", "4", "--jobs", jobs])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
