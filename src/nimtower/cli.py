@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import expr, fermat, oracle, orders, tower
-from .errors import NimtowerError, ParseError
+from .errors import MissingFactorization, NimtowerError, ParseError
 from .report import CheckRecord, VerificationReport
 
 _IDENTITY_CAP = 8  # default ceiling for identity/membership sweeps
@@ -40,8 +40,9 @@ def _load_table(path: str | None):
 @dataclass(frozen=True)
 class _Task:
     """One call of the `orders` suite named `suite`, and the check id of the
-    FAIL record that reports it if it raises.  The suite is looked up when
-    the task runs, so whatever `orders.<suite>` is bound to then is called."""
+    FAIL record that reports it if it raises (`.error` turns `.factorization`
+    for a MissingFactorization).  The suite is looked up when the task runs,
+    so whatever `orders.<suite>` is bound to then is called."""
 
     error_id: str
     suite: str
@@ -53,7 +54,10 @@ def _run_verify_task(task: _Task) -> list[CheckRecord]:
     try:
         return getattr(orders, task.suite)(*task.args, **task.kwargs).records
     except NimtowerError as exc:
-        return [CheckRecord(task.error_id, False, f"{type(exc).__name__}: {exc}")]
+        check_id = task.error_id
+        if isinstance(exc, MissingFactorization):
+            check_id = check_id.removesuffix(".error") + ".factorization"
+        return [CheckRecord(check_id, False, f"{type(exc).__name__}: {exc}")]
 
 
 def _plan_tasks(target: str, level: int | None, max_level: int | None, table) -> list[_Task]:
@@ -91,10 +95,10 @@ def _plan_tasks(target: str, level: int | None, max_level: int | None, table) ->
                 tasks.append(_Task(f"thm{theorem}.i{i:02d}", "verify_membership", (theorem, i)))
     if target in ("thm5", "all"):
         for j in levels(5, _HEAVY_CAP):
-            tasks.append(_Task(f"thm5.j{j:02d}.factorization", "verify_thm5", (j, table)))
+            tasks.append(_Task(f"thm5.j{j:02d}.error", "verify_thm5", (j, table)))
     if target in ("cor", "all"):
         for i in levels(2, _HEAVY_CAP):
-            tasks.append(_Task(f"cor.i{i:02d}.factorization", "verify_corollaries", (i, table)))
+            tasks.append(_Task(f"cor.i{i:02d}.error", "verify_corollaries", (i, table)))
     if target in ("example-l2", "all"):
         tasks.append(_Task("l2ex.error", "verify_closing_example", (table,)))
     return tasks

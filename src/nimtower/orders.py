@@ -17,7 +17,7 @@ c_j^(N_j/p) lies outside L_(j-1) exactly when (conj(c_j)/c_j)^(N_j/p) != 1.
 And x^(N_j) is the norm x*conj(x), so a power by N_j * N_(j-1) * ... is a
 chain of norms, one level down per factor.  Minimal exponents, alpha
 chains and the quotient checks share the descent's per-level step; the
-identity and membership suites walk the norm chain.
+identity and membership suites walk the norm chain, checking each link.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .report import VerificationReport
 from .tower import (
     TowerElement,
     generator,
+    mul_values,
     norm_split_values,
     norm_value,
     pow_values,
@@ -119,11 +120,15 @@ def _down_step(v: int, entry: FermatFactorization) -> tuple[int, int]:
 
 def _norm_chain(v: int, level: int, steps: int) -> list[int]:
     """[v^(N_level), v^(N_level*N_(level-1)), ...], `steps` values, each
-    the norm of the one before, from L_j into L_(j-1)."""
+    the norm of the one before, from L_j into L_(j-1).  Raises
+    ArithmeticFault unless each equals the full-width product v*conj(v)."""
     chain = []
     for j in range(level, level - steps, -1):
-        v = norm_value(v, width_of(j))
-        chain.append(v)
+        w = width_of(j)
+        chain.append(norm_value(v, w))
+        if chain[-1] != mul_values(v, v ^ (v >> (w >> 1)), w):
+            raise ArithmeticFault(f"norm != x*conj(x) at level {j}")
+        v = chain[-1]
     return chain
 
 

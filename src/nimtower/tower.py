@@ -21,16 +21,16 @@ multiply-by-a_{k-1}); inversion is conj(x) * norm(x)^-1 recursively.  The
 kernels work on plain ints keyed by width in bits; the TowerElement class
 is a thin immutable wrapper that adds level bookkeeping.
 
-Base cases: a 256x256 product table covers widths up to 8 and is built once
-from the recursion itself; on top of it sit log/antilog tables for the
-65536-element field (width 16), plus the width-16 maps "times a_3" (A) and
-"squared".  Widths 32 and 64 are straight-line code over these tables, with
-no recursive call: _mul at width 32 is three 16-bit log products and one
-A, applied as the call _mul_top(hh, 16) so that every product of width 32
-and up goes through that one width-16 line (perfbench's corruption
-self-test edits it and expects every workload to notice); _square at 32
-and 64 squares the 16-bit quarters and folds in A; and _mul_top, being
-F2-linear, is the block matrix
+Base cases: log/antilog tables of the 65536-element field (width 16), and
+its maps "times a_3" (A) and "squared", serve every width up to 16, each
+smaller field being a subfield with the same values; _build_tables makes
+them at first use from linearity.  Widths 32 and 64 are straight-line code
+over these tables, with no recursive call: _mul at width 32 is three
+16-bit log products and one A, applied as the call _mul_top(hh, 16) so
+that every product of width 32 and up goes through that one width-16 line
+(perfbench's corruption self-test edits it and expects every workload to
+notice); _square at 32 and 64 squares the 16-bit quarters and folds in A;
+and _mul_top, being F2-linear, is the block matrix
 
     M32 = [[A, A], [A^2, 0]]          on (xh, xl), 16-bit halves
     M64 = [[M32, M32], [M32^2, 0]],   M32^2 = [[A^2+A^3, A^2], [A^3, A^3]]
@@ -59,8 +59,6 @@ from .errors import (
     ZeroToZero,
 )
 
-# Width (bits) of the dense product table: 2^8 x 2^8 entries, level <= 2.
-BASE_TABLE_BITS = 8
 # Width of the log/antilog field.  Fixed: the table builder and the
 # straight-line width-32/64 bases split values into 16-bit pieces.
 LOG_TABLE_BITS = 16
@@ -76,7 +74,6 @@ MAX_LEVEL = 20
 # Generator used to build the 16-bit log tables: c3*c0, primitive in L_3.
 _LOG_GENERATOR = 0x200
 
-_MUL8: list[list[int]] | None = None
 _EXP16: list[int] = []
 _LOG16: list[int] = []
 _MUL_TOP16: list[int] = []
@@ -85,57 +82,54 @@ _tables_ready = False
 _tables_lock = threading.Lock()
 
 
-def _build_tables() -> None:
-    global _MUL8, _EXP16, _LOG16, _MUL_TOP16, _SQ16, _tables_ready
-    # Stage the 256x256 table up from the trivial 2x2 field.
-    t = [[0, 0], [0, 1]]
-    half = 1
-    while half < BASE_TABLE_BITS:
-        size = 1 << (2 * half)
-        mask = (1 << half) - 1
-        top = 1 << (half - 1)
-        new = [[0] * size for _ in range(size)]
-        for a in range(size):
-            ah, al = a >> half, a & mask
-            row = new[a]
-            for b in range(size):
-                bh, bl = b >> half, b & mask
-                hh = t[ah][bh]
-                ll = t[al][bl]
-                mid = t[ah ^ al][bh ^ bl]
-                row[b] = ((mid ^ ll) << half) ^ t[hh][top] ^ ll
-        t = new
-        half *= 2
-    mul8 = t
+def _span(images: list[int]) -> list[int]:
+    """Table of the F2-linear map with basis images `images`: entry x is
+    the XOR of images[k] over the 1-bits k of x."""
+    table = [0]
+    for image in images:
+        table += [t ^ image for t in table]
+    return table
 
-    # Log/antilog for the width-16 field, generated by c3*c0.  The antilog
-    # table is doubled so exponent sums need no reduction mod 65535.
-    order = (1 << LOG_TABLE_BITS) - 1
+
+def _mul_plain(a: int, b: int, w: int) -> int:
+    """The product recursion with no table, for building the tables."""
+    if w == 1:
+        return a & b
+    half = w >> 1
+    mask = (1 << half) - 1
+    ah, al, bh, bl = a >> half, a & mask, b >> half, b & mask
+    hh, ll = _mul_plain(ah, bh, half), _mul_plain(al, bl, half)
+    mid = _mul_plain(ah ^ al, bh ^ bl, half)
+    return ((mid ^ ll) << half) ^ _mul_plain(hh, 1 << (half - 1), half) ^ ll
+
+
+def _build_tables() -> None:
+    global _EXP16, _LOG16, _MUL_TOP16, _SQ16, _tables_ready
+    # Log/antilog for the width-16 field, generated by c3*c0: times-the-
+    # generator is F2-linear, so its table is the span of 16 basis images.
+    # The antilog table is doubled so exponent sums need no reduction mod
+    # 65535; the walk stops early if the generator's order is too small.
+    bits, order = LOG_TABLE_BITS, (1 << LOG_TABLE_BITS) - 1
+    times_g = _span([_mul_plain(1 << k, _LOG_GENERATOR, bits) for k in range(bits)])
     exp = [0] * (2 * order)
     log = [0] * (order + 1)
     x = 1
     for i in range(order):
-        exp[i] = x
-        exp[i + order] = x
+        exp[i] = exp[i + order] = x
         log[x] = i
-        xh, xl = x >> 8, x & 0xFF
-        gh, gl = _LOG_GENERATOR >> 8, _LOG_GENERATOR & 0xFF
-        hh = mul8[xh][gh]
-        ll = mul8[xl][gl]
-        mid = mul8[xh ^ xl][gh ^ gl]
-        x = ((mid ^ ll) << 8) ^ mul8[hh][0x80] ^ ll
-    if x != 1:
+        x = times_g[x]
+        if x == 1:
+            break
+    if i != order - 1 or x != 1:
         raise AssertionError("log-table generator does not have full order")
+    del times_g
 
-    log_top = log[1 << (LOG_TABLE_BITS - 1)]
-    mul_top16 = [0] * (order + 1)
-    sq16 = [0] * (order + 1)
-    for v in range(1, order + 1):
-        lv = log[v]
-        mul_top16[v] = exp[lv + log_top]
-        sq16[v] = exp[2 * lv]
+    # Both maps reuse the antilog table's int objects, so they add no ints.
+    log_top = log[1 << (bits - 1)]
+    mul_top16 = [exp[lv + log_top] for lv in log]
+    sq16 = [exp[2 * lv] for lv in log]
+    mul_top16[0] = sq16[0] = 0
 
-    _MUL8 = mul8
     _EXP16, _LOG16, _MUL_TOP16, _SQ16 = exp, log, mul_top16, sq16
     _tables_ready = True
 
@@ -152,10 +146,8 @@ def _ensure_tables() -> None:
 
 
 def _mul(a: int, b: int, w: int) -> int:
-    if w == 16:
+    if w <= 16:
         return _EXP16[_LOG16[a] + _LOG16[b]] if a and b else 0
-    if w < 16:
-        return _MUL8[a][b]
     if w == 32:
         exp, log = _EXP16, _LOG16
         ah, al = a >> 16, a & 0xFFFF
@@ -185,7 +177,7 @@ def _mul_top(x: int, w: int) -> int:
     if w == 16:
         return _MUL_TOP16[x]
     if w < 16:
-        return _MUL8[x][1 << (w - 1)]
+        return _mul(x, 1 << (w - 1), w)
     if w == 32:
         t = _MUL_TOP16
         xh = x >> 16
@@ -213,10 +205,8 @@ def _mul_top(x: int, w: int) -> int:
 
 
 def _square(a: int, w: int) -> int:
-    if w == 16:
+    if w <= 16:
         return _SQ16[a]
-    if w < 16:
-        return _MUL8[a][a]
     if w == 32:
         sq = _SQ16
         hh = sq[a >> 16]
@@ -247,8 +237,6 @@ def _norm(a: int, w: int) -> int:
 
 def _inv(a: int, w: int) -> int:
     if w <= LOG_TABLE_BITS:
-        if a == 1:
-            return 1
         return _EXP16[(1 << LOG_TABLE_BITS) - 1 - _LOG16[a]]
     half = w >> 1
     ah = a >> half

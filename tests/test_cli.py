@@ -217,7 +217,7 @@ def test_verify_jobs_accepts_only_1(capsys, jobs):
         ("lemma5", "0", "lemma5.i00"),
         ("lemma6", "0", "lemma6.i00"),
         ("thm2", "1", "thm2.i01"),
-        ("cor", "1", "cor.i01.factorization"),
+        ("cor", "1", "cor.i01.error"),
     ],
 )
 def test_verify_error_records_name_their_family(capsys, target, level, check_id):

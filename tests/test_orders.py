@@ -535,3 +535,23 @@ def test_a_step_with_a_wrong_y_is_refused(table, monkeypatch):
         verify_thm5(5, table)
     [record] = cli._run_verify_task(cli._Task("thm5.j05.factorization", "verify_thm5", (5,)))
     assert not record.ok and record.detail.startswith("ArithmeticFault: ")
+
+
+def test_a_raising_suite_names_its_error_not_the_factor_table(monkeypatch, capsys):
+    # only a MissingFactorization is reported under `.factorization`
+    # (test_cli.test_verify_thm5_missing_level)
+    monkeypatch.setattr(orders, "norm_split_values", _wrong_y)
+    assert cli.main(["verify", "thm5", "--level", "5"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL thm5.j05.error ArithmeticFault: ")
+
+
+def test_a_wrong_norm_chain_link_is_refused(monkeypatch, capsys):
+    # each link of the chain is checked against the full-width v*conj(v)
+    norm_value = tower.norm_value
+    monkeypatch.setattr(orders, "norm_value", lambda v, w: norm_value(v, w) ^ 1)
+    with pytest.raises(ArithmeticFault):
+        verify_membership(1, 5)
+    with pytest.raises(ArithmeticFault):
+        verify_identities(5, 4)
+    assert cli.main(["verify", "thm1", "--level", "5"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL thm1.i05 ArithmeticFault: ")

@@ -153,6 +153,46 @@ def _base_case_values(w, rng):
     return values + [rng.getrandbits(w) for _ in range(150)]
 
 
+def test_width16_tables_match_recursive_oracle():
+    # exhaustive: the span-built tables against an oracle that shares no code
+    from nimtower.oracle import nim_mul_rec
+    from nimtower.tower import _ensure_tables
+
+    _ensure_tables()
+    values = range(1 << 16)
+    assert tower._SQ16 == [nim_mul_rec(x, x) for x in values]
+    assert tower._MUL_TOP16 == [nim_mul_rec(x, 1 << 15) for x in values]
+    exp = tower._EXP16
+    assert exp[0] == 1 and len(exp) == 2 * 65535
+    assert exp[1:] == [nim_mul_rec(x, 0x200) for x in exp[:-1]]
+    assert sorted(exp[:65535]) == list(range(1, 1 << 16))
+    assert all(tower._LOG16[exp[i]] == i for i in range(65535))
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_kernels_below_width16_read_the_logs(w):
+    from nimtower.oracle import nim_mul_rec
+    from nimtower.tower import _ensure_tables, _mul_top, _square
+
+    _ensure_tables()
+    for x in range(1 << w):
+        assert _square(x, w) == nim_mul_rec(x, x), (w, x)
+        assert _mul_top(x, w) == nim_mul_rec(x, 1 << (w - 1)), (w, x)
+
+
+def test_a_log_generator_of_short_order_is_refused(monkeypatch):
+    # c_3 = 0x100 has order 21845, a divisor of 65535: the antilog walk
+    # returns to 1 early, and the build raises before replacing any table
+    tower._ensure_tables()
+    names = ("_EXP16", "_LOG16", "_MUL_TOP16", "_SQ16")
+    before = [getattr(tower, name) for name in names]
+    monkeypatch.setattr(tower, "_LOG_GENERATOR", 0x100)
+    with pytest.raises(AssertionError, match="full order"):
+        tower._build_tables()
+    assert all(getattr(tower, n) is t for n, t in zip(names, before))
+    assert elem(0x1234, 3) * elem(0x8000, 3) == elem(tower._MUL_TOP16[0x1234], 3)
+
+
 @pytest.mark.parametrize("w", [32, 64])
 def test_straight_line_bases_match_recursive_oracle(w):
     from nimtower.oracle import nim_mul_rec
