@@ -14,7 +14,10 @@ Exponents are plain naturals; ``N<j>`` resolves to the Fermat number
 arithmetic is exact, so its sizes are bounded: a product may have at most
 MAX_EXPONENT_BITS bits, and the bit lengths of a division's operands may
 multiply to at most MAX_DIVISION_WORK (CPython divides big integers in
-quadratic time).  Either overrun is a LevelError.  An expression
+quadratic time).  A power's work is bounded too: the exponent's bit
+length, capped at the width w since powers reduce it modulo 2^w - 1, times
+w may be at most MAX_POWER_WORK, checked before the power or its base is
+computed.  Any overrun is a LevelError.  An expression
 evaluates at the highest level among its atoms; hex atoms take an explicit
 ``@L<k>`` level or adopt the expression's.  Parentheses nest at most
 MAX_NESTING deep; deeper input is a ParseError, not a RecursionError.
@@ -37,6 +40,10 @@ MAX_NESTING = 100
 # for every j <= MAX_LEVEL + 1 and p below 2048 bits.
 MAX_EXPONENT_BITS = 2 * width_of(MAX_LEVEL)
 MAX_DIVISION_WORK = 1 << 32
+# Bound on min(exponent bits, w) * w for a power at width w.  It admits
+# every power at level <= 12 and refuses (c13+c1)^N12 (4097 x 16384), which
+# would take tens of seconds; the work grows about 5x per level.
+MAX_POWER_WORK = width_of(12) ** 2
 
 
 # Element nodes.
@@ -308,7 +315,14 @@ def _eval_at(node, level: int) -> TowerElement:
             out = out.mul(_eval_at(f, level))
         return out
     if isinstance(node, Pow):
-        return _eval_at(node.base, level).pow(eval_int(node.exponent))
+        e = eval_int(node.exponent)
+        width = width_of(level)
+        if min(e.bit_length(), width) * width > MAX_POWER_WORK:
+            raise LevelError(
+                f"power work {e.bit_length()} exponent bits x {width} bits"
+                f" above {MAX_POWER_WORK}"
+            )
+        return _eval_at(node.base, level).pow(e)
     if isinstance(node, CAtom):
         return generator("c", node.k, level)
     if isinstance(node, AAtom):

@@ -30,17 +30,9 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r.ok for r in self.records)
 
-    @property
-    def failures(self) -> list[CheckRecord]:
-        return [r for r in self.records if not r.ok]
-
     def sorted_records(self) -> list[CheckRecord]:
         return sorted(self.records, key=lambda r: r.check_id)
 
     def lines(self) -> list[str]:
         """Report lines ``<STATUS> <check-id> <detail>``, sorted by check id."""
         return [r.line() for r in self.sorted_records()]
-
-    def summary(self) -> str:
-        ok = sum(1 for r in self.records if r.ok)
-        return f"{ok}/{len(self.records)} checks passed"

@@ -24,20 +24,23 @@ is a thin immutable wrapper that adds level bookkeeping.
 Base cases: log/antilog tables of the 65536-element field (width 16), and
 its maps "times a_3" (A) and "squared", serve every width up to 16, each
 smaller field being a subfield with the same values; _build_tables makes
-them at first use from linearity.  Widths 32 and 64 are straight-line code
-over these tables, with no recursive call: _mul at width 32 is three
-16-bit log products and one A, applied as the call _mul_top(hh, 16) so
-that every product of width 32 and up goes through that one width-16 line
-(perfbench's corruption self-test edits it and expects every workload to
-notice); _square at 32 and 64 squares the 16-bit quarters and folds in A;
-and _mul_top, being F2-linear, is the block matrix
+them at first use from linearity.  Squaring and _mul_top (times the top
+monomial) are F2-linear at every width too, so from 32 to 256 bits each is
+one byte-sliced table: slice k holds the images of the 256 values of byte
+k, and a value maps to the XOR of one entry per byte.  _build_slices makes
+a width's tables at its first operation, from the images of the w basis
+bits under the half-width split written above; above 256 bits both kernels
+recurse down to the tables.  _mul is straight-line code at 32 bits (three
+16-bit log products and one A) and at 64 bits (two Karatsuba levels: nine
+log products, A read from its table), and recurses above.
 
-    M32 = [[A, A], [A^2, 0]]          on (xh, xl), 16-bit halves
-    M64 = [[M32, M32], [M32^2, 0]],   M32^2 = [[A^2+A^3, A^2], [A^3, A^3]]
-
-where A^2 and A^3 are two and three nested lookups in A's table.  Above
-64 bits every kernel recurses as written above.  Each kernel tests the
-table widths first, so calls at levels <= 3 dispatch at once.
+Every square and top-multiply of width 32 and up, and every product of
+width 32 or of 128 and up, passes through the one line of _mul_top that
+returns A at width 16: the slice tables are built through it, and the
+width-32 product applies A by calling it.  perfbench's corruption
+self-test edits that line and expects every workload to notice.  Each
+kernel tests the table widths first, so calls at levels <= 3 dispatch at
+once.
 
 Levels run from -1 to MAX_LEVEL; width_of, generator and TowerElement
 refuse any other level before allocating anything of its size.
@@ -49,6 +52,8 @@ import random
 import re
 import threading
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem, xor
 
 from .errors import (
     LevelError,
@@ -60,7 +65,7 @@ from .errors import (
 )
 
 # Width of the log/antilog field.  Fixed: the table builder and the
-# straight-line width-32/64 bases split values into 16-bit pieces.
+# straight-line width-32/64 products split values into 16-bit pieces.
 LOG_TABLE_BITS = 16
 # Highest level accepted anywhere: widths, generators, elements, and (via
 # fermat.fermat_number) the Fermat numbers N_j, j <= MAX_LEVEL + 1, that
@@ -80,6 +85,13 @@ _MUL_TOP16: list[int] = []
 _SQ16: list[int] = []
 _tables_ready = False
 _tables_lock = threading.Lock()
+# Byte-slice tables of (_square, _mul_top) by width, 32.._SLICE_MAX_BITS,
+# each pair built at the first operation of its width (_build_slices).
+# Wider tables cost megabytes and measured no faster.
+_SLICE_MAX_BITS = 256
+_SLICES: dict[int, tuple[list[list[int]], list[list[int]]]] = {}
+# Reentrant: a width's build reads the half width's tables, building them.
+_slices_lock = threading.RLock()
 
 
 def _span(images: list[int]) -> list[int]:
@@ -158,6 +170,31 @@ def _mul(a: int, b: int, w: int) -> int:
         mid = exp[log[sa] + log[sb]] if sa and sb else 0
         # A through the width-16 branch, not t[hh]: see the module docstring.
         return ((mid ^ ll) << 16) ^ _mul_top(hh, 16) ^ ll
+    if w == 64:
+        # The width-32 products hi = (h1, h0), lo = (l1, l0) and
+        # mid + lo = (m1, m0) of the halves, each as in the width-32 branch
+        # with A = t; then (mid + lo)*2^32 + hi*a_4 + lo, where hi*a_4 is
+        # (A(h1 + h0), A(A(h1))) by the top-multiply split.
+        exp, log, t = _EXP16, _LOG16, _MUL_TOP16
+        a3, a2, a1, a0 = a >> 48, (a >> 32) & 0xFFFF, (a >> 16) & 0xFFFF, a & 0xFFFF
+        b3, b2, b1, b0 = b >> 48, (b >> 32) & 0xFFFF, (b >> 16) & 0xFFFF, b & 0xFFFF
+        p = exp[log[a3] + log[b3]] if a3 and b3 else 0
+        q = exp[log[a2] + log[b2]] if a2 and b2 else 0
+        x, y = a3 ^ a2, b3 ^ b2
+        r = exp[log[x] + log[y]] if x and y else 0
+        h1, h0 = r ^ q, t[p] ^ q
+        p = exp[log[a1] + log[b1]] if a1 and b1 else 0
+        q = exp[log[a0] + log[b0]] if a0 and b0 else 0
+        x, y = a1 ^ a0, b1 ^ b0
+        r = exp[log[x] + log[y]] if x and y else 0
+        l1, l0 = r ^ q, t[p] ^ q
+        a3, a2, b3, b2 = a3 ^ a1, a2 ^ a0, b3 ^ b1, b2 ^ b0
+        p = exp[log[a3] + log[b3]] if a3 and b3 else 0
+        q = exp[log[a2] + log[b2]] if a2 and b2 else 0
+        x, y = a3 ^ a2, b3 ^ b2
+        r = exp[log[x] + log[y]] if x and y else 0
+        m1, m0 = r ^ q ^ l1, t[p] ^ q ^ l0
+        return (m1 << 48) ^ (m0 << 32) ^ ((t[h1 ^ h0] ^ l1) << 16) ^ t[t[h1]] ^ l0
     if a < 2 or b < 2:
         return a * b
     half = w >> 1
@@ -178,22 +215,13 @@ def _mul_top(x: int, w: int) -> int:
         return _MUL_TOP16[x]
     if w < 16:
         return _mul(x, 1 << (w - 1), w)
-    if w == 32:
-        t = _MUL_TOP16
-        xh = x >> 16
-        return (t[xh ^ (x & 0xFFFF)] << 16) ^ t[t[xh]]
-    if w == 64:
-        # M64 (module docstring) on the 16-bit quarters x3..x0, A = t.
-        t = _MUL_TOP16
-        x3, x2 = x >> 48, (x >> 32) & 0xFFFF
-        x1, x0 = (x >> 16) & 0xFFFF, x & 0xFFFF
-        u = t[t[x3 ^ x2]]
-        return (
-            (t[x3 ^ x2 ^ x1 ^ x0] << 48)
-            ^ (t[t[x3 ^ x1]] << 32)
-            ^ ((u ^ t[t[t[x3]]]) << 16)
-            ^ t[u]
-        )
+    if w <= _SLICE_MAX_BITS:
+        slices = (_SLICES.get(w) or _build_slices(w))[1]
+        return reduce(xor, map(getitem, slices, x.to_bytes(w >> 3, "little")))
+    return _mul_top_split(x, w)
+
+
+def _mul_top_split(x: int, w: int) -> int:
     if x == 0:
         return 0
     half = w >> 1
@@ -207,25 +235,33 @@ def _mul_top(x: int, w: int) -> int:
 def _square(a: int, w: int) -> int:
     if w <= 16:
         return _SQ16[a]
-    if w == 32:
-        sq = _SQ16
-        hh = sq[a >> 16]
-        return (hh << 16) ^ _MUL_TOP16[hh] ^ sq[a & 0xFFFF]
-    if w == 64:
-        # (h1, h0) and (l1, l0): the width-32 squares of the halves; then
-        # hh*2^32 + M32(hh) + ll as in the recursion.
-        sq, t = _SQ16, _MUL_TOP16
-        h1 = sq[a >> 48]
-        h0 = t[h1] ^ sq[(a >> 32) & 0xFFFF]
-        l1 = sq[(a >> 16) & 0xFFFF]
-        l0 = t[l1] ^ sq[a & 0xFFFF]
-        return (h1 << 48) ^ (h0 << 32) ^ ((t[h1 ^ h0] ^ l1) << 16) ^ t[t[h1]] ^ l0
+    if w <= _SLICE_MAX_BITS:
+        slices = (_SLICES.get(w) or _build_slices(w))[0]
+        return reduce(xor, map(getitem, slices, a.to_bytes(w >> 3, "little")))
+    return _square_split(a, w)
+
+
+def _square_split(a: int, w: int) -> int:
     half = w >> 1
     ah = a >> half
     if ah == 0:
         return _square(a, half)
     hh = _square(ah, half)
     return (hh << half) ^ _mul_top(hh, half) ^ _square(a & ((1 << half) - 1), half)
+
+
+def _build_slices(w: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The width-w byte-slice tables of "squared" and "times the top
+    monomial": slice k is the span of the images of bits 8k..8k+7, each
+    computed by the half-width split."""
+    with _slices_lock:
+        if w not in _SLICES:
+            sq = [_square_split(1 << j, w) for j in range(w)]
+            top = [_mul_top_split(1 << j, w) for j in range(w)]
+            _SLICES[w] = tuple(
+                [_span(images[k:k + 8]) for k in range(0, w, 8)] for images in (sq, top)
+            )
+    return _SLICES[w]
 
 
 def _norm(a: int, w: int) -> int:
@@ -247,12 +283,15 @@ def _inv(a: int, w: int) -> int:
     return (_mul(ah, ninv, half) << half) ^ _mul(ah ^ al, ninv, half)
 
 
-# Exponent size above which _pow switches to 4-bit windows.
+# Exponent size above which _pow uses sliding windows, and their width in
+# bits (odd powers a^1 .. a^(2^k - 1)); both chosen by measurement.
 _POW_WINDOW_THRESHOLD = 64
+_POW_WINDOW_BITS = 5
 
 
 def _pow(a: int, e: int, w: int) -> int:
-    """Left-to-right square-and-multiply (4-bit digits for long exponents).
+    """Left-to-right square-and-multiply (sliding windows over odd powers
+    for long exponents).
 
     A nonzero base has an order dividing 2^w - 1, so e is reduced modulo
     it first; 0^e is 0 for e > 0."""
@@ -269,17 +308,31 @@ def _pow(a: int, e: int, w: int) -> int:
             if (e >> i) & 1:
                 r = _mul(r, a, w)
         return r
-    powers = [1, a]
-    for _ in range(14):
-        powers.append(_mul(powers[-1], a, w))
-    shift = (bits - 1) & ~3
-    r = powers[e >> shift]
-    while shift:
-        shift -= 4
-        r = _square(_square(_square(_square(r, w), w), w), w)
-        digit = (e >> shift) & 0xF
-        if digit:
-            r = _mul(r, powers[digit], w)
+    k = _POW_WINDOW_BITS
+    # Cut e into windows, low end first: each starts at a 1-bit and spans
+    # k bits, so e is the sum of digit * 2^shift over odd digits.
+    windows = []
+    shift = 0
+    while e:
+        zeros = (e & -e).bit_length() - 1
+        e >>= zeros
+        shift += zeros
+        windows.append((e & ((1 << k) - 1), shift))
+        e >>= k
+        shift += k
+    square_a = _square(a, w)
+    odd = [a]
+    for _ in range((1 << (k - 1)) - 1):
+        odd.append(_mul(odd[-1], square_a, w))
+    digit, shift = windows.pop()
+    r = odd[digit >> 1]
+    for digit, low in reversed(windows):
+        for _ in range(shift - low):
+            r = _square(r, w)
+        r = _mul(r, odd[digit >> 1], w)
+        shift = low
+    for _ in range(shift):
+        r = _square(r, w)
     return r
 
 

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to watch the lines as
 they complete; the order sweep to level 11 (criterion 3) is the heaviest
-part, about 12 s of a 28 s module run on a shared 2-vCPU machine.  Its
+part, about 8 s of a 26 s module run on a busy shared 2-vCPU machine.  Its
 four elements per level share their descent steps, so the quotient checks
 of criterion 4 then take well under a second.
 

@@ -42,6 +42,18 @@ def test_eval_above_level_ceiling_exit_1(capsys):
     assert code == 0 and out == f"{1 << (1 << 13):#x}@L13\n"
 
 
+def test_eval_power_work_is_bounded_exit_1(capsys):
+    import time
+
+    started = time.perf_counter()
+    code, out, err = run(capsys, "eval", "(c13+c1)^N12")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and out == ""
+    assert "LevelError" in err and "power work" in err
+    code, out, _ = run(capsys, "eval", "(c12+c1)^N11")
+    assert code == 0 and out.endswith("@L12\n")
+
+
 def test_order(capsys):
     code, out, _ = run(capsys, "order", "c2*c0")
     assert code == 0 and out == "255 = 3 * 5 * 17\n"
@@ -276,13 +288,21 @@ def test_bench_builds_tables_before_timing(capsys, monkeypatch):
     from nimtower import cli, tower
 
     events = []
-    build = tower._build_tables
+    build, build_slices = tower._build_tables, tower._build_slices
     clock = SimpleNamespace(perf_counter=lambda: (events.append("clock"), time.perf_counter())[1])
     monkeypatch.setattr(tower, "_tables_ready", False)
     monkeypatch.setattr(tower, "_build_tables", lambda: (events.append("build"), build()))
+    monkeypatch.setattr(tower, "_SLICES", {})
+    monkeypatch.setattr(
+        tower, "_build_slices", lambda w: (events.append(f"slices{w}"), build_slices(w))[1]
+    )
     monkeypatch.setattr(cli, "time", clock)
-    code, _, _ = run(capsys, "bench", "--max-level", "0", "--samples", "2")
+    code, _, _ = run(capsys, "bench", "--max-level", "6", "--samples", "2")
     assert code == 0 and events[0] == "build"
+    # each timed interval runs from an even-numbered clock read to the next
+    builds = [(events[:k].count("clock"), e) for k, e in enumerate(events) if e != "clock"]
+    assert [e for _, e in builds] == ["build", "slices32", "slices64", "slices128"]
+    assert all(clocks % 2 == 0 for clocks, _ in builds)
 
 
 @pytest.mark.parametrize(

@@ -207,6 +207,25 @@ def test_hostile_exponents_are_refused_quickly():
         assert time.perf_counter() - started < 1.0, text
 
 
+def test_power_work_bound(table):
+    # min(exponent bits, w) * w: a level-12 power by any exponent is
+    # admitted, a level-13 power by N_12 (4097 bits) is not
+    assert evaluate("0x0@L12^(N12*N12*N12)") == tower.TowerElement(12, 0)
+    assert evaluate("c13^4096") == tower.generator("c", 13, 13).pow(4096)
+    for text in ("(c13+c1)^N12", "0x0@L13^N12", "c13^(N12*N12)"):
+        started = time.perf_counter()
+        with pytest.raises(LevelError, match="power work"):
+            evaluate(text)
+        assert time.perf_counter() - started < 1.0, text
+    # the query-mix expressions
+    for entry in table:
+        if entry.j <= 6:
+            for p in entry.factors:
+                for form in "ca":
+                    want = tower.generator(form, entry.j, entry.j).pow(fermat_number(entry.j) // p)
+                    assert evaluate(f"{form}{entry.j}^(N{entry.j}/{p})") == want
+
+
 def test_exponent_bounds_admit_every_tabulated_quotient(table):
     for entry in table:
         for p in entry.factors:

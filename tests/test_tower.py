@@ -137,7 +137,7 @@ def test_mul_by_top_monomial_specialized_path_agrees():
 
 
 def _base_case_values(w, rng):
-    """Edge and random values for the straight-line width-32/64 kernels."""
+    """Edge and random values for the width-32..256 base kernels."""
     half = w // 2
     low = (1 << half) - 1
     h = rng.getrandbits(half) | 1
@@ -193,8 +193,10 @@ def test_a_log_generator_of_short_order_is_refused(monkeypatch):
     assert elem(0x1234, 3) * elem(0x8000, 3) == elem(tower._MUL_TOP16[0x1234], 3)
 
 
-@pytest.mark.parametrize("w", [32, 64])
+@pytest.mark.parametrize("w", [32, 64, 128, 256])
 def test_straight_line_bases_match_recursive_oracle(w):
+    # squares and top-multiplies read the slice tables; products at 32 and
+    # 64 are straight-line code, wider ones recurse down to them
     from nimtower.oracle import nim_mul_rec
     from nimtower.tower import _ensure_tables, _mul, _mul_top, _square
 
@@ -207,6 +209,40 @@ def test_straight_line_bases_match_recursive_oracle(w):
         assert _mul_top(x, w) == nim_mul_rec(x, top), (w, hex(x))
         for y in values[:20] + [rng.getrandbits(w) for _ in range(5)]:
             assert _mul(x, y, w) == nim_mul_rec(x, y), (w, hex(x), hex(y))
+
+
+@pytest.mark.parametrize("w", [32, 64, 128, 256])
+def test_slice_table_basis_entries_match_recursive_oracle(w):
+    from nimtower.oracle import nim_mul_rec
+
+    tower._ensure_tables()
+    sq, top = tower._build_slices(w)
+    assert len(sq) == len(top) == w // 8
+    for k in range(w // 8):
+        assert len(sq[k]) == len(top[k]) == 256 and sq[k][0] == top[k][0] == 0
+        for b in range(8):
+            x = 1 << (8 * k + b)
+            assert sq[k][1 << b] == nim_mul_rec(x, x), (w, k, b)
+            assert top[k][1 << b] == nim_mul_rec(x, 1 << (w - 1)), (w, k, b)
+
+
+def test_slice_tables_are_built_once_per_width(monkeypatch):
+    tower._ensure_tables()
+    built = []
+    build = tower._build_slices
+    monkeypatch.setattr(tower, "_SLICES", {})
+    monkeypatch.setattr(tower, "_build_slices", lambda w: (built.append(w), build(w))[1])
+
+    def exercise(x):
+        return x * x, x.square(), x.inverse(), x.pow((1 << 80) + 3)
+
+    exercise(tower.random_element(3, 1))
+    assert built == []  # level 3 reads the width-16 tables only
+    for level in (4, 5, 6, 7, 9):
+        for y in seeded(level, 3, 9):
+            exercise(y)
+    assert built == [32, 64, 128, 256]
+    assert sorted(tower._SLICES) == [32, 64, 128, 256]
 
 
 # -- square ------------------------------------------------------------------
@@ -328,8 +364,40 @@ def test_pow_matches_repeated_mul():
                 assert x.pow(e) == acc, (level, x, e)
 
 
+def _pow_plain(a, e, w):
+    """Left-to-right square-and-multiply over every bit of e, unreduced."""
+    r = 1
+    for bit in bin(e)[2:]:
+        r = tower._square(r, w)
+        if bit == "1":
+            r = tower._mul(r, a, w)
+    return r
+
+
+def test_pow_sliding_windows_match_plain():
+    threshold, k = tower._POW_WINDOW_THRESHOLD, tower._POW_WINDOW_BITS
+    rng = random.Random(44)
+    exponents = [
+        (1 << threshold) - 1,  # at the threshold: plain path
+        1 << threshold,  # one bit above it
+        (1 << threshold) + 1,
+        (1 << 200) - 1,
+        (1 << 200) + 1,
+        (rng.getrandbits(150) << k) | 1,  # a window ending at bit 0
+        (rng.getrandbits(150) | 1) << (k + 3),  # trailing zeros after the last window
+        # zero runs one bit longer and one bit shorter than a window
+        int("1" + "0" * (k + 1) + "1" * (3 * k) + "0" * (k - 1) + "1" * 70, 2),
+    ]
+    for level in (1, 3, 4, 6, 8):
+        w = tower.width_of(level)
+        order = (1 << w) - 1
+        for a in (1, 2, rng.getrandbits(w) | 1, rng.getrandbits(w) | 2):
+            for e in exponents + [order, order + 1, 2 * order + 77, (1 << 300) + 5]:
+                assert tower._pow(a, e, w) == _pow_plain(a, e, w), (level, a, e)
+
+
 def test_pow_windowed_path_matches_plain():
-    # exponents above the window threshold take the 4-bit-digit path
+    # exponents above the window threshold take the sliding-window path
     rng = random.Random(43)
     for level in (3, 5, 7):
         one = generator("one", 0, level)
