@@ -9,7 +9,7 @@ meet: its factors are distinct, greater than 1 and multiply to
 2^(2^j)+1, each is 1 mod 2^(j+2) for j >= 2, and optionally each passes
 Miller-Rabin.  `validate` reports every rule as a record; loading raises
 ValidationError at the first rule an entry breaks, so a corrupted table
-cannot be used silently.  The builtin table is checked once per process,
+cannot be used silently.  The builtin table is checked at import,
 without Miller-Rabin; a factor file is checked on every load, with it.
 Beyond N_11 no complete factorization is known, and operations that need
 one fail with MissingFactorization.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
 from math import gcd, prod
 
 from .errors import LevelError, MissingFactorization, ParseError, ValidationError
@@ -148,18 +147,16 @@ def _make_entry(j: int, factors: list[int], check_primality: bool) -> FermatFact
     return entry
 
 
-@cache
-def _builtin_entries() -> tuple[FermatFactorization, ...]:
-    return tuple(
-        _make_entry(j, [from_decimal(s) for s in strings], check_primality=False)
-        for j, strings in sorted(_FACTOR_STRINGS.items())
-    )
+_BUILTIN_ENTRIES = tuple(
+    _make_entry(j, [from_decimal(s) for s in strings], check_primality=False)
+    for j, strings in sorted(_FACTOR_STRINGS.items())
+)
 
 
 def builtin_factor_table() -> list[FermatFactorization]:
-    """The embedded table for j = 0..11 (validated once per process), as a
-    fresh list of frozen entries."""
-    return list(_builtin_entries())
+    """The embedded table for j = 0..11 (validated at import), as a fresh
+    list of frozen entries."""
+    return list(_BUILTIN_ENTRIES)
 
 
 def load_factor_table(source: str) -> list[FermatFactorization]:

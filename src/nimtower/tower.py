@@ -24,7 +24,7 @@ is a thin immutable wrapper that adds level bookkeeping.
 Base cases: log/antilog tables of the 65536-element field (width 16), and
 its maps "times a_3" (A) and "squared", serve every width up to 16, each
 smaller field being a subfield with the same values; _build_tables makes
-them at first use from linearity.  Squaring and _mul_top (times the top
+them at import from linearity.  Squaring and _mul_top (times the top
 monomial) are F2-linear at every width too, so from 32 to 256 bits each is
 one byte-sliced table: slice k holds the images of the 256 values of byte
 k, and a value maps to the XOR of one entry per byte.  _build_slices makes
@@ -79,12 +79,6 @@ MAX_LEVEL = 20
 # Generator used to build the 16-bit log tables: c3*c0, primitive in L_3.
 _LOG_GENERATOR = 0x200
 
-_EXP16: list[int] = []
-_LOG16: list[int] = []
-_MUL_TOP16: list[int] = []
-_SQ16: list[int] = []
-_tables_ready = False
-_tables_lock = threading.Lock()
 # Byte-slice tables of (_square, _mul_top) by width, 32.._SLICE_MAX_BITS,
 # each pair built at the first operation of its width (_build_slices).
 # Wider tables cost megabytes and measured no faster.
@@ -115,8 +109,7 @@ def _mul_plain(a: int, b: int, w: int) -> int:
     return ((mid ^ ll) << half) ^ _mul_plain(hh, 1 << (half - 1), half) ^ ll
 
 
-def _build_tables() -> None:
-    global _EXP16, _LOG16, _MUL_TOP16, _SQ16, _tables_ready
+def _build_tables() -> tuple[list[int], list[int], list[int], list[int]]:
     # Log/antilog for the width-16 field, generated by c3*c0: times-the-
     # generator is F2-linear, so its table is the span of 16 basis images.
     # The antilog table is doubled so exponent sums need no reduction mod
@@ -142,15 +135,10 @@ def _build_tables() -> None:
     sq16 = [exp[2 * lv] for lv in log]
     mul_top16[0] = sq16[0] = 0
 
-    _EXP16, _LOG16, _MUL_TOP16, _SQ16 = exp, log, mul_top16, sq16
-    _tables_ready = True
+    return exp, log, mul_top16, sq16
 
 
-def _ensure_tables() -> None:
-    if not _tables_ready:
-        with _tables_lock:
-            if not _tables_ready:
-                _build_tables()
+_EXP16, _LOG16, _MUL_TOP16, _SQ16 = _build_tables()
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +326,20 @@ def _pow(a: int, e: int, w: int) -> int:
 
 def mul_values(a: int, b: int, width: int) -> int:
     """Raw product of two coefficient vectors of the given bit width."""
-    _ensure_tables()
     return _mul(a, b, max(width, 1))
 
 
 def square_value(a: int, width: int) -> int:
-    _ensure_tables()
     return _square(a, max(width, 1))
 
 
 def pow_values(a: int, e: int, width: int) -> int:
     """Raw exponentiation of a coefficient vector (e a natural number)."""
-    _ensure_tables()
     return _pow(a, e, max(width, 1))
 
 
 def norm_value(a: int, width: int) -> int:
     """The norm a*conj(a) = a^(2^(w/2)+1), a half-width value."""
-    _ensure_tables()
     return _norm(a, width)
 
 
@@ -363,7 +347,6 @@ def norm_split_values(a: int, width: int) -> tuple[int, int]:
     """(conj(a)/a, a*conj(a)) for nonzero a: a^(2^(w/2)-1), whose order
     divides 2^(w/2)+1, and the norm a^(2^(w/2)+1), a half-width value.
     conj(a)/a is computed as conj(a)^2/norm, so only the norm is inverted."""
-    _ensure_tables()
     half = width >> 1
     if a >> half == 0:
         return 1, _square(a, half)
@@ -448,13 +431,11 @@ class TowerElement:
 
     def mul(self, other: "TowerElement") -> "TowerElement":
         self._require_same_level(other)
-        _ensure_tables()
         return TowerElement(self.level, _mul(self.value, other.value, self.width))
 
     __mul__ = mul
 
     def square(self) -> "TowerElement":
-        _ensure_tables()
         return TowerElement(self.level, _square(self.value, self.width))
 
     def frobenius_conj(self) -> "TowerElement":
@@ -469,7 +450,6 @@ class TowerElement:
     def inverse(self) -> "TowerElement":
         if self.value == 0:
             raise ZeroInverse("zero has no multiplicative inverse")
-        _ensure_tables()
         return TowerElement(self.level, _inv(self.value, self.width))
 
     def pow(self, e: int) -> "TowerElement":
@@ -482,7 +462,6 @@ class TowerElement:
             return self
         if e == 0:
             return TowerElement(self.level, 1)
-        _ensure_tables()
         return TowerElement(self.level, _pow(self.value, e, self.width))
 
     __pow__ = pow

@@ -359,9 +359,8 @@ def test_criterion_10_algebraic_property_suite():
                 if x.pow(lagrange) != one:
                     failures += 1
 
-    from nimtower.tower import _ensure_tables, _mul, _mul_top, _square
+    from nimtower.tower import _mul, _mul_top, _square
 
-    _ensure_tables()
     rng = random.Random(777)
     for level in range(1, 9):
         w = tower.width_of(level)

@@ -288,20 +288,18 @@ def test_bench_builds_tables_before_timing(capsys, monkeypatch):
     from nimtower import cli, tower
 
     events = []
-    build, build_slices = tower._build_tables, tower._build_slices
+    build_slices = tower._build_slices
     clock = SimpleNamespace(perf_counter=lambda: (events.append("clock"), time.perf_counter())[1])
-    monkeypatch.setattr(tower, "_tables_ready", False)
-    monkeypatch.setattr(tower, "_build_tables", lambda: (events.append("build"), build()))
     monkeypatch.setattr(tower, "_SLICES", {})
     monkeypatch.setattr(
         tower, "_build_slices", lambda w: (events.append(f"slices{w}"), build_slices(w))[1]
     )
     monkeypatch.setattr(cli, "time", clock)
     code, _, _ = run(capsys, "bench", "--max-level", "6", "--samples", "2")
-    assert code == 0 and events[0] == "build"
+    assert code == 0
     # each timed interval runs from an even-numbered clock read to the next
     builds = [(events[:k].count("clock"), e) for k, e in enumerate(events) if e != "clock"]
-    assert [e for _, e in builds] == ["build", "slices32", "slices64", "slices128"]
+    assert [e for _, e in builds] == ["slices32", "slices64", "slices128"]
     assert all(clocks % 2 == 0 for clocks, _ in builds)
 
 

@@ -208,11 +208,16 @@ def test_hostile_exponents_are_refused_quickly():
 
 
 def test_power_work_bound(table):
-    # min(exponent bits, w) * w: a level-12 power by any exponent is
-    # admitted, a level-13 power by N_12 (4097 bits) is not
+    # min(exponent bits, w) * 3^(level+1): a level-12 power by any exponent
+    # is admitted, a level-13 power by N_12 (4097 bits) is not, nor shorter
+    # exponents higher up, where each multiply costs 3x more per level
     assert evaluate("0x0@L12^(N12*N12*N12)") == tower.TowerElement(12, 0)
     assert evaluate("c13^4096") == tower.generator("c", 13, 13).pow(4096)
-    for text in ("(c13+c1)^N12", "0x0@L13^N12", "c13^(N12*N12)"):
+    hostile = (
+        "(c13+c1)^N12", "0x0@L13^N12", "c13^(N12*N12)",
+        "(c20+c1)^4294967295", "(c14+c1)^(N11/319489)", "(c13+c1)^(N12/114689)",
+    )
+    for text in hostile:
         started = time.perf_counter()
         with pytest.raises(LevelError, match="power work"):
             evaluate(text)

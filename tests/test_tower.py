@@ -125,9 +125,8 @@ def test_field_axioms_sampled():
 
 def test_mul_by_top_monomial_specialized_path_agrees():
     # the fast multiply-by-a_{k-1} must match the generic product
-    from nimtower.tower import _ensure_tables, _mul, _mul_top
+    from nimtower.tower import _mul, _mul_top
 
-    _ensure_tables()
     rng = random.Random(99)
     for level in range(0, 9):
         w = tower.width_of(level)
@@ -156,9 +155,7 @@ def _base_case_values(w, rng):
 def test_width16_tables_match_recursive_oracle():
     # exhaustive: the span-built tables against an oracle that shares no code
     from nimtower.oracle import nim_mul_rec
-    from nimtower.tower import _ensure_tables
 
-    _ensure_tables()
     values = range(1 << 16)
     assert tower._SQ16 == [nim_mul_rec(x, x) for x in values]
     assert tower._MUL_TOP16 == [nim_mul_rec(x, 1 << 15) for x in values]
@@ -172,9 +169,8 @@ def test_width16_tables_match_recursive_oracle():
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
 def test_kernels_below_width16_read_the_logs(w):
     from nimtower.oracle import nim_mul_rec
-    from nimtower.tower import _ensure_tables, _mul_top, _square
+    from nimtower.tower import _mul_top, _square
 
-    _ensure_tables()
     for x in range(1 << w):
         assert _square(x, w) == nim_mul_rec(x, x), (w, x)
         assert _mul_top(x, w) == nim_mul_rec(x, 1 << (w - 1)), (w, x)
@@ -183,7 +179,6 @@ def test_kernels_below_width16_read_the_logs(w):
 def test_a_log_generator_of_short_order_is_refused(monkeypatch):
     # c_3 = 0x100 has order 21845, a divisor of 65535: the antilog walk
     # returns to 1 early, and the build raises before replacing any table
-    tower._ensure_tables()
     names = ("_EXP16", "_LOG16", "_MUL_TOP16", "_SQ16")
     before = [getattr(tower, name) for name in names]
     monkeypatch.setattr(tower, "_LOG_GENERATOR", 0x100)
@@ -198,9 +193,8 @@ def test_straight_line_bases_match_recursive_oracle(w):
     # squares and top-multiplies read the slice tables; products at 32 and
     # 64 are straight-line code, wider ones recurse down to them
     from nimtower.oracle import nim_mul_rec
-    from nimtower.tower import _ensure_tables, _mul, _mul_top, _square
+    from nimtower.tower import _mul, _mul_top, _square
 
-    _ensure_tables()
     rng = random.Random(w)
     values = _base_case_values(w, rng)
     top = 1 << (w - 1)
@@ -215,7 +209,6 @@ def test_straight_line_bases_match_recursive_oracle(w):
 def test_slice_table_basis_entries_match_recursive_oracle(w):
     from nimtower.oracle import nim_mul_rec
 
-    tower._ensure_tables()
     sq, top = tower._build_slices(w)
     assert len(sq) == len(top) == w // 8
     for k in range(w // 8):
@@ -227,7 +220,6 @@ def test_slice_table_basis_entries_match_recursive_oracle(w):
 
 
 def test_slice_tables_are_built_once_per_width(monkeypatch):
-    tower._ensure_tables()
     built = []
     build = tower._build_slices
     monkeypatch.setattr(tower, "_SLICES", {})
@@ -243,6 +235,64 @@ def test_slice_tables_are_built_once_per_width(monkeypatch):
             exercise(y)
     assert built == [32, 64, 128, 256]
     assert sorted(tower._SLICES) == [32, 64, 128, 256]
+
+
+def test_slice_tables_build_once_under_concurrent_kernels(monkeypatch):
+    # _slices_lock is the kernels' one lock: four threads racing through
+    # empty slice tables get the serial results, and each width is stored once
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = random.Random(41)
+    jobs = []
+    for w in (32, 64, 128, 256, 512, 1024):
+        for _ in range(6):
+            x, y = rng.getrandbits(w), rng.getrandbits(w)
+            jobs += [(tower._square, (x, w)), (tower._mul_top, (x, w)), (tower._mul, (x, y, w))]
+    serial = [f(*args) for f, args in jobs]
+
+    stored = []
+
+    class Recording(dict):
+        def __setitem__(self, w, tables):
+            stored.append(w)
+            super().__setitem__(w, tables)
+
+    monkeypatch.setattr(tower, "_SLICES", Recording())
+    start = threading.Barrier(4)
+
+    def run(seed):
+        order = list(range(len(jobs)))
+        random.Random(seed).shuffle(order)
+        start.wait()
+        return {k: jobs[k][0](*jobs[k][1]) for k in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = [f.result() for f in [pool.submit(run, seed) for seed in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert [got[k] for k in range(len(jobs))] == serial
+    assert sorted(stored) == [32, 64, 128, 256]
+
+
+def test_tables_are_built_at_import():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(tower.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import nimtower.tower as t; print(len(t._EXP16), t._SLICES == {})"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "131070 True\n"
 
 
 # -- square ------------------------------------------------------------------
@@ -321,9 +371,8 @@ def test_inverse_matches_exponentiation_crosscheck():
 
 
 def test_norm_closure_in_inverse_recursion():
-    from nimtower.tower import _ensure_tables, _mul, _mul_top, _square
+    from nimtower.tower import _mul, _mul_top, _square
 
-    _ensure_tables()
     rng = random.Random(3)
     for level in range(1, 9):
         w = tower.width_of(level)
