@@ -228,10 +228,6 @@ def _cmd_bench(args) -> int:
         width = tower.width_of(level)
         xs = [rng.getrandbits(width) | 1 for _ in range(args.samples)]
         ys = [rng.getrandbits(width) | 1 for _ in range(args.samples)]
-        # Untimed: the first operation at a width builds its slice tables;
-        # the width-16 tables were built at import.
-        tower.mul_values(xs[0], ys[0], width)
-        tower.square_value(xs[0], width)
         t0 = time.perf_counter()
         for x, y in zip(xs, ys):
             tower.mul_values(x, y, width)

@@ -317,11 +317,11 @@ class FactoredOrder:
 
 
 def group_order(i: int, table: list[FermatFactorization]) -> FactoredOrder:
-    """The factored order N_0 * ... * N_i of the level-i multiplicative group."""
+    """The factored order N_0 * ... * N_i = 2^(2^(i+1)) - 1 of the level-i
+    multiplicative group.  The N_j are pairwise coprime, so each prime
+    occurs once; ValidationError if the table's primes of levels 0..i
+    repeat or do not multiply to the group's size."""
     if i < 0:
         raise ValueError(f"level must be >= 0, got {i}")
-    powers: dict[int, int] = {}
-    for j in range(i + 1):
-        for p in factorization(table, j).factors:
-            powers[p] = powers.get(p, 0) + 1
-    return FactoredOrder.from_prime_powers(powers)
+    primes = sorted(p for j in range(i + 1) for p in factorization(table, j).factors)
+    return FactoredOrder((1 << (1 << (i + 1))) - 1, tuple((p, 1) for p in primes))

@@ -27,10 +27,11 @@ smaller field being a subfield with the same values; _build_tables makes
 them at import from linearity.  Squaring and _mul_top (times the top
 monomial) are F2-linear at every width too, so from 32 to 256 bits each is
 one byte-sliced table: slice k holds the images of the 256 values of byte
-k, and a value maps to the XOR of one entry per byte.  _build_slices makes
-a width's tables at its first operation, from the images of the w basis
-bits under the half-width split written above; above 256 bits both kernels
-recurse down to the tables.  _mul is straight-line code at 32 bits (three
+k, and a value maps to the XOR of one entry per byte.  The module builds
+them at import too, narrowest first, from the images of the w basis bits
+under the half-width split written above (_build_slices); above 256 bits
+both kernels recurse down to the tables.  No table changes after import,
+so the kernels need no lock.  _mul is straight-line code at 32 bits (three
 16-bit log products and one A) and at 64 bits (two Karatsuba levels: nine
 log products, A read from its table), and recurses above.
 
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import random
 import re
-import threading
 from dataclasses import dataclass
 from functools import reduce
 from operator import getitem, xor
@@ -80,12 +80,10 @@ MAX_LEVEL = 20
 _LOG_GENERATOR = 0x200
 
 # Byte-slice tables of (_square, _mul_top) by width, 32.._SLICE_MAX_BITS,
-# each pair built at the first operation of its width (_build_slices).
-# Wider tables cost megabytes and measured no faster.
+# filled at import below _build_slices.  Wider tables cost megabytes and
+# measured no faster.
 _SLICE_MAX_BITS = 256
 _SLICES: dict[int, tuple[list[list[int]], list[list[int]]]] = {}
-# Reentrant: a width's build reads the half width's tables, building them.
-_slices_lock = threading.RLock()
 
 
 def _span(images: list[int]) -> list[int]:
@@ -204,7 +202,7 @@ def _mul_top(x: int, w: int) -> int:
     if w < 16:
         return _mul(x, 1 << (w - 1), w)
     if w <= _SLICE_MAX_BITS:
-        slices = (_SLICES.get(w) or _build_slices(w))[1]
+        slices = _SLICES[w][1]
         return reduce(xor, map(getitem, slices, x.to_bytes(w >> 3, "little")))
     return _mul_top_split(x, w)
 
@@ -224,7 +222,7 @@ def _square(a: int, w: int) -> int:
     if w <= 16:
         return _SQ16[a]
     if w <= _SLICE_MAX_BITS:
-        slices = (_SLICES.get(w) or _build_slices(w))[0]
+        slices = _SLICES[w][0]
         return reduce(xor, map(getitem, slices, a.to_bytes(w >> 3, "little")))
     return _square_split(a, w)
 
@@ -241,15 +239,17 @@ def _square_split(a: int, w: int) -> int:
 def _build_slices(w: int) -> tuple[list[list[int]], list[list[int]]]:
     """The width-w byte-slice tables of "squared" and "times the top
     monomial": slice k is the span of the images of bits 8k..8k+7, each
-    computed by the half-width split."""
-    with _slices_lock:
-        if w not in _SLICES:
-            sq = [_square_split(1 << j, w) for j in range(w)]
-            top = [_mul_top_split(1 << j, w) for j in range(w)]
-            _SLICES[w] = tuple(
-                [_span(images[k:k + 8]) for k in range(0, w, 8)] for images in (sq, top)
-            )
-    return _SLICES[w]
+    computed by the half-width split, which reads the half width's tables."""
+    sq = [_square_split(1 << j, w) for j in range(w)]
+    top = [_mul_top_split(1 << j, w) for j in range(w)]
+    return tuple([_span(images[k:k + 8]) for k in range(0, w, 8)] for images in (sq, top))
+
+
+_w = 32  # narrowest first: each width's basis images read the half width's tables
+while _w <= _SLICE_MAX_BITS:
+    _SLICES[_w] = _build_slices(_w)
+    _w <<= 1
+del _w
 
 
 def _norm(a: int, w: int) -> int:
@@ -386,12 +386,6 @@ class TowerElement:
     @property
     def width(self) -> int:
         return width_of(self.level)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_one(self) -> bool:
-        return self.value == 1
 
     def __bool__(self) -> bool:
         return self.value != 0

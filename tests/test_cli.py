@@ -281,28 +281,6 @@ def test_bench_runs(capsys):
     assert out.splitlines()[0].startswith("level  0:")
 
 
-def test_bench_builds_tables_before_timing(capsys, monkeypatch):
-    import time
-    from types import SimpleNamespace
-
-    from nimtower import cli, tower
-
-    events = []
-    build_slices = tower._build_slices
-    clock = SimpleNamespace(perf_counter=lambda: (events.append("clock"), time.perf_counter())[1])
-    monkeypatch.setattr(tower, "_SLICES", {})
-    monkeypatch.setattr(
-        tower, "_build_slices", lambda w: (events.append(f"slices{w}"), build_slices(w))[1]
-    )
-    monkeypatch.setattr(cli, "time", clock)
-    code, _, _ = run(capsys, "bench", "--max-level", "6", "--samples", "2")
-    assert code == 0
-    # each timed interval runs from an even-numbered clock read to the next
-    builds = [(events[:k].count("clock"), e) for k, e in enumerate(events) if e != "clock"]
-    assert [e for _, e in builds] == ["slices32", "slices64", "slices128"]
-    assert all(clocks % 2 == 0 for clocks, _ in builds)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -345,3 +323,35 @@ def test_help_lists_flags():
         assert flag in parser_help["factors"]
     for flag in ("--samples", "--seed"):
         assert flag in parser_help["oracle-check"]
+
+
+def test_core_library_does_not_import_numpy():
+    # numpy is loaded only by the mex oracle; the verify suites and the
+    # order queries must run without it
+    import os
+    import subprocess
+    import sys
+
+    import nimtower
+
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import nimtower as n",
+        "from nimtower import cli, expr",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['verify', 'all', '--max-level', '4']) == 1",
+        "x = n.generator('c', 4, 4) * n.generator('c', 0, 4)",
+        "n.is_primitive(x)",
+        "n.multiplicative_order(x, n.group_order(4, n.builtin_factor_table()))",
+        "n.alpha_chain(4, 'c')",
+        "n.minimal_subfield_exponent(4)",
+        "expr.evaluate('(c4+c1)^N3')",
+        "print('numpy' in sys.modules)",
+    ])
+    src = str(Path(nimtower.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"

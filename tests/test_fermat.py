@@ -211,11 +211,26 @@ def test_group_order_value_identity(table):
 
 
 def test_group_order_with_repeated_primes():
-    # user tables need not be squarefree across a synthetic override
+    # a hand-built table of valid entries gives the group order
     t = [FermatFactorization(0, (3,)), FermatFactorization(1, (5,)),
          FermatFactorization(2, (17,))]
     go = group_order(2, t)
     assert go.value == 255
+
+
+def test_group_order_refuses_a_table_that_is_not_the_group_size():
+    # 3 listed at levels 0 and 2: the primes multiply to 765, not 2^8 - 1,
+    # which once gave group order 765 and a wrong (False, 3) for c2*c0
+    from nimtower.orders import is_primitive
+
+    t = [FermatFactorization(0, (3,)), FermatFactorization(1, (5,)),
+         FermatFactorization(2, (3, 17))]
+    with pytest.raises(ValidationError):
+        group_order(2, t)
+    x = tower.generator("c", 2, 2) * tower.generator("c", 0, 2)
+    with pytest.raises(ValidationError):
+        is_primitive(x, t)
+    assert is_primitive(x) == (True, 1)
 
 
 def test_factored_order_invariants():

@@ -209,7 +209,7 @@ def test_straight_line_bases_match_recursive_oracle(w):
 def test_slice_table_basis_entries_match_recursive_oracle(w):
     from nimtower.oracle import nim_mul_rec
 
-    sq, top = tower._build_slices(w)
+    sq, top = tower._SLICES[w]
     assert len(sq) == len(top) == w // 8
     for k in range(w // 8):
         assert len(sq[k]) == len(top[k]) == 256 and sq[k][0] == top[k][0] == 0
@@ -219,27 +219,9 @@ def test_slice_table_basis_entries_match_recursive_oracle(w):
             assert top[k][1 << b] == nim_mul_rec(x, 1 << (w - 1)), (w, k, b)
 
 
-def test_slice_tables_are_built_once_per_width(monkeypatch):
-    built = []
-    build = tower._build_slices
-    monkeypatch.setattr(tower, "_SLICES", {})
-    monkeypatch.setattr(tower, "_build_slices", lambda w: (built.append(w), build(w))[1])
-
-    def exercise(x):
-        return x * x, x.square(), x.inverse(), x.pow((1 << 80) + 3)
-
-    exercise(tower.random_element(3, 1))
-    assert built == []  # level 3 reads the width-16 tables only
-    for level in (4, 5, 6, 7, 9):
-        for y in seeded(level, 3, 9):
-            exercise(y)
-    assert built == [32, 64, 128, 256]
-    assert sorted(tower._SLICES) == [32, 64, 128, 256]
-
-
-def test_slice_tables_build_once_under_concurrent_kernels(monkeypatch):
-    # _slices_lock is the kernels' one lock: four threads racing through
-    # empty slice tables get the serial results, and each width is stored once
+def test_kernels_are_safe_under_concurrency():
+    # four threads racing through the table kernels at 32..1024 bits get
+    # the serial results
     import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
@@ -251,15 +233,6 @@ def test_slice_tables_build_once_under_concurrent_kernels(monkeypatch):
             x, y = rng.getrandbits(w), rng.getrandbits(w)
             jobs += [(tower._square, (x, w)), (tower._mul_top, (x, w)), (tower._mul, (x, y, w))]
     serial = [f(*args) for f, args in jobs]
-
-    stored = []
-
-    class Recording(dict):
-        def __setitem__(self, w, tables):
-            stored.append(w)
-            super().__setitem__(w, tables)
-
-    monkeypatch.setattr(tower, "_SLICES", Recording())
     start = threading.Barrier(4)
 
     def run(seed):
@@ -277,7 +250,6 @@ def test_slice_tables_build_once_under_concurrent_kernels(monkeypatch):
         sys.setswitchinterval(interval)
     for got in results:
         assert [got[k] for k in range(len(jobs))] == serial
-    assert sorted(stored) == [32, 64, 128, 256]
 
 
 def test_tables_are_built_at_import():
@@ -287,12 +259,12 @@ def test_tables_are_built_at_import():
 
     src = os.path.dirname(os.path.dirname(tower.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import nimtower.tower as t; print(len(t._EXP16), t._SLICES == {})"
+    probe = "import nimtower.tower as t; print(len(t._EXP16), sorted(t._SLICES))"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
-    assert out.stdout == "131070 True\n"
+    assert out.stdout == "131070 [32, 64, 128, 256]\n"
 
 
 # -- square ------------------------------------------------------------------
