@@ -220,31 +220,44 @@ def _cmd_verify(args) -> int:
     return _emit_report(report, elapsed)
 
 
+# Timed batches per level in `nimtower bench`; --samples operands are
+# split across them, and one more batch runs first, untimed, as a warm-up.
+_BENCH_BATCHES = 5
+
+
+def _time_batch(kernel, calls) -> float:
+    """Mean seconds per call of kernel over the argument tuples in calls."""
+    t0 = time.perf_counter()
+    for call in calls:
+        kernel(*call)
+    return (time.perf_counter() - t0) / len(calls)
+
+
 def _cmd_bench(args) -> int:
     import random
+    from statistics import median
 
     rng = random.Random(args.seed)
+    batches = min(_BENCH_BATCHES, args.samples)
+    size = args.samples // batches
+    pow_reps = max(1, size // 10)
     for level in range(0, args.max_level + 1):
         width = tower.width_of(level)
-        xs = [rng.getrandbits(width) | 1 for _ in range(args.samples)]
-        ys = [rng.getrandbits(width) | 1 for _ in range(args.samples)]
-        t0 = time.perf_counter()
-        for x, y in zip(xs, ys):
-            tower.mul_values(x, y, width)
-        t_mul = (time.perf_counter() - t0) / args.samples
-        t0 = time.perf_counter()
-        for x in xs:
-            tower.square_value(x, width)
-        t_sq = (time.perf_counter() - t0) / args.samples
         exponent = rng.getrandbits(64) | (1 << 63)
-        t0 = time.perf_counter()
-        reps = max(1, args.samples // 10)
-        for x in xs[:reps]:
-            tower.pow_values(x, exponent, width)
-        t_pow = (time.perf_counter() - t0) / reps
+        t_mul, t_sq, t_pow = [], [], []
+        for _ in range(1 + batches):
+            xs = [rng.getrandbits(width) | 1 for _ in range(size)]
+            ys = [rng.getrandbits(width) | 1 for _ in range(size)]
+            t_mul.append(_time_batch(tower.mul_values, [(x, y, width) for x, y in zip(xs, ys)]))
+            t_sq.append(_time_batch(tower.square_value, [(x, width) for x in xs]))
+            t_pow.append(_time_batch(tower.pow_values, [(x, exponent, width) for x in xs[:pow_reps]]))
+        (mul_min, mul_med), (sq_min, sq_med), (pow_min, pow_med) = (
+            (min(t[1:]), median(t[1:])) for t in (t_mul, t_sq, t_pow)  # t[0]: warm-up
+        )
         print(
-            f"level {level:2d}: mul {t_mul * 1e6:9.2f} us  square {t_sq * 1e6:9.2f} us"
-            f"  pow64 {t_pow * 1e3:9.3f} ms"
+            f"level {level:2d}: mul min {mul_min * 1e6:9.2f} med {mul_med * 1e6:9.2f} us"
+            f"  square min {sq_min * 1e6:9.2f} med {sq_med * 1e6:9.2f} us"
+            f"  pow64 min {pow_min * 1e3:9.3f} med {pow_med * 1e3:9.3f} ms"
         )
     return 0
 
@@ -318,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="informational throughput figures per level")
     p.add_argument("--max-level", type=int, default=8)
-    p.add_argument("--samples", type=_positive_int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100,
+                   help="random operands per level, split over the timed batches")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 

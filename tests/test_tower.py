@@ -157,13 +157,40 @@ def test_width16_tables_match_recursive_oracle():
     from nimtower.oracle import nim_mul_rec
 
     values = range(1 << 16)
-    assert tower._SQ16 == [nim_mul_rec(x, x) for x in values]
-    assert tower._MUL_TOP16 == [nim_mul_rec(x, 1 << 15) for x in values]
+    assert list(tower._SQ16) == [nim_mul_rec(x, x) for x in values]
+    assert list(tower._MUL_TOP16) == [nim_mul_rec(x, 1 << 15) for x in values]
     exp = tower._EXP16
     assert exp[0] == 1 and len(exp) == 2 * 65535
-    assert exp[1:] == [nim_mul_rec(x, 0x200) for x in exp[:-1]]
+    assert list(exp[1:]) == [nim_mul_rec(x, 0x200) for x in exp[:-1]]
     assert sorted(exp[:65535]) == list(range(1, 1 << 16))
     assert all(tower._LOG16[exp[i]] == i for i in range(65535))
+
+
+def test_width16_tables_are_compact_arrays():
+    # 16-bit typed arrays, not lists of int objects: a return to lists
+    # would take the four tables from 0.65 MB back to 6.1 MB
+    import sys
+
+    tables = (tower._EXP16, tower._LOG16, tower._MUL_TOP16, tower._SQ16)
+    assert [t.typecode for t in tables] == ["H"] * 4
+    assert [len(t) for t in tables] == [131070, 65536, 65536, 65536]
+    assert sum(map(sys.getsizeof, tables)) < 1 << 20
+
+
+def test_1024_bit_product_chain_matches_recursive_oracle():
+    # data-dependent operands at full width: each step feeds the last result
+    from nimtower.oracle import nim_mul_rec
+    from nimtower.tower import _mul, _square
+
+    rng = random.Random(1024)
+    x, y = rng.getrandbits(1024), rng.getrandbits(1024)
+    for step in range(16):
+        want = nim_mul_rec(x, y)
+        x = _mul(x, y, 1024)
+        assert x == want, ("mul", step)
+        want = nim_mul_rec(x, x)
+        x = _square(x, 1024)
+        assert x == want, ("square", step)
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
