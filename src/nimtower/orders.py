@@ -3,12 +3,14 @@ verification suites built on them.
 
 Orders follow the tower itself.  At level j the group order splits into
 coprime parts, 2^w - 1 = (2^(w/2) - 1) * N_j, so the order of x is the
-order of conj(x)/x, a divisor of N_j tested against N_j's few primes at
-exponents of about w/2 bits, times the order of the norm x*conj(x) one
-level down at half width.  Elements that differ by a factor from one level
-down share conj(x)/x, as c_i, a_i, c_i*c_0, a_i*a_0 and thm5 do at level
-i, so one bounded memo keeps the part of a step that depends only on y =
-conj(x)/x, and certifies each y once: norm(y) = y^(N_j) must be 1.
+order of y = conj(x)/x, a divisor of N_j tested against N_j's few primes
+at exponents of about w/2 bits, times the order of the norm x*conj(x) one
+level down at half width, down to L_3, whose log table gives the rest.
+Elements that differ by a factor from one level down share y, as c_i, a_i,
+c_i*c_0, a_i*a_0 and thm5 do at level i, so one bounded memo keeps the
+part of a step that depends only on y (for orders, steps at levels >= 4)
+and certifies each y once: norm(y) = y^(N_j) must be 1, or at levels 1..3,
+where the log table gives ord(y), ord(y) must divide N_j.
 
 Every subfield question is answered by the same two facts.  conj fixes
 exactly L_(j-1), so x^d lies one level down exactly when (conj(x)/x)^d = 1:
@@ -28,17 +30,19 @@ from math import prod
 
 from .errors import ArithmeticFault, LevelError, NotAnExponent, ZeroElement
 from .fermat import (
+    _BUILTIN_ENTRIES,
     FactoredOrder,
     FermatFactorization,
-    builtin_factor_table,
     factorization,
     fermat_number,
     group_order,
 )
 from .report import VerificationReport
 from .tower import (
+    LOG_TABLE_BITS,
     TowerElement,
     generator,
+    leaf_order,
     mul_values,
     norm_split_values,
     norm_value,
@@ -49,10 +53,11 @@ from .tower import (
 # Descent steps kept by _y_step, least recently used dropped first: enough
 # for every distinct step of a verify sweep or a query-mix pass.
 _STEP_CACHE_SIZE = 1024
+_NOT_AN_EXPONENT = "x^n != 1 for the claimed group order; wrong factor table or level"
 
 
 def _table_or_builtin(table):
-    return builtin_factor_table() if table is None else table
+    return _BUILTIN_ENTRIES if table is None else table
 
 
 def _cofactor_powers(v: int, w: int, blocks: list[int]) -> list[int]:
@@ -90,15 +95,21 @@ def _y_step(
     power y^(g/p^e) has order p^a, and counting the p-power steps down to 1
     recovers a.  Raises ArithmeticFault unless norm(y) = y^(N_level) = 1,
     and NotAnExponent unless y^g = 1, which is free when N_level divides g.
+    At levels 1..3 the log table gives ord(y), certified by ord(y) | N_level.
     """
     w = width_of(level)
+    g = prod(p**e for p, e in factors)
+    if w <= LOG_TABLE_BITS:
+        order = leaf_order(y)
+        if fermat_number(level) % order:
+            raise ArithmeticFault(f"conj(x)/x has norm != 1 at level {level}")
+        if g % order:
+            raise NotAnExponent(_NOT_AN_EXPONENT)
+        return tuple((p, int(order % p == 0)) for p, _ in factors)
     if norm_value(y, w) != 1:
         raise ArithmeticFault(f"conj(x)/x has norm != 1 at level {level}")
-    g = prod(p**e for p, e in factors)
     if g % fermat_number(level) and pow_values(y, g, w) != 1:
-        raise NotAnExponent(
-            "x^n != 1 for the claimed group order; wrong factor table or level"
-        )
+        raise NotAnExponent(_NOT_AN_EXPONENT)
     multiplicities = []
     for (p, e), z in zip(factors, _cofactor_powers(y, w, [p**e for p, e in factors])):
         t = 0
@@ -142,19 +153,24 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
     counting the p-power steps down to 1 recovers a.  x^n = 1 exactly when
     y^g = 1 at every level, which is free when N_j divides g, so a prime
     N_j costs no exponentiation.  The norm x*conj(x) = x^(N_j) carries the
-    rest; the descent stops once it is 1.  The result o satisfies x^o = 1
-    and x^(o/p) != 1 for every prime p dividing o.
+    rest, down to 16 bits, where the log table gives its order at once (a
+    squarefree divisor of 65535, so each prime found has multiplicity 1).
+    The result o satisfies x^o = 1 and x^(o/p) != 1 for every prime p | o.
     """
     if x.value == 0:
         raise ZeroElement("zero has no multiplicative order")
     level, v = x.level, x.value
     multiplicities: dict[int, int] = {}
-    while v != 1:
+    while v >> LOG_TABLE_BITS:
         n_j = fermat_number(level)
         v, found = _level_step(v, level, [(p, e) for p, e in n.factors if n_j % p == 0])
         multiplicities.update(found)
         level -= 1
-    return FactoredOrder.from_prime_powers(multiplicities)
+    rest = leaf_order(v)
+    found = [p for p, e in n.factors if e and rest % p == 0]
+    if prod(found) != rest:
+        raise NotAnExponent(_NOT_AN_EXPONENT)
+    return FactoredOrder.from_prime_powers(multiplicities | dict.fromkeys(found, 1))
 
 
 def is_primitive(
@@ -171,9 +187,7 @@ def is_primitive(
     return index == 1, index
 
 
-def minimal_subfield_exponent(
-    j: int, table: list[FermatFactorization] | None = None
-) -> int:
+def minimal_subfield_exponent(j: int, table: list[FermatFactorization] | None = None) -> int:
     """Smallest d > 0 with c_j^d one level down: the order of
     conj(c_j)/c_j, a divisor of N_j."""
     if j < 1:
@@ -392,9 +406,7 @@ def verify_corollaries(
     o_cc0 = multiplicative_order(cc0, n)
     o_aa0 = multiplicative_order(aa0, n)
 
-    expected = 1
-    for j in range(1, i + 1):
-        expected *= fermat_number(j)
+    expected = prod(fermat_number(j) for j in range(1, i + 1))
     report.add(
         f"cor.i{i:02d}.order-c",
         o_c.value == expected,
@@ -411,11 +423,8 @@ def verify_corollaries(
         f"O(c_{i}*c_0) = 3*O(c_{i}) and O(a_{i}*a_0) = 3*O(a_{i})",
     )
 
-    bound = 1
-    for j in range(1, min(i, 4) + 1):
-        bound *= fermat_number(j)
-    for j in range(5, i + 1):
-        bound *= (1 << (j + 2)) + 1
+    bound = prod(fermat_number(j) for j in range(1, min(i, 4) + 1))
+    bound *= prod((1 << (j + 2)) + 1 for j in range(5, i + 1))
     report.add(
         f"cor.i{i:02d}.lower-bound",
         o_c.value >= bound and o_a.value >= bound,

@@ -56,6 +56,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import reduce
+from math import gcd
 from operator import getitem, xor
 
 from .errors import (
@@ -145,6 +146,11 @@ def _build_tables() -> tuple[array, array, array, array]:
 
 
 _EXP16, _LOG16, _MUL_TOP16, _SQ16 = _build_tables()
+
+
+def leaf_order(v: int) -> int:
+    """Order of nonzero v < 2^16 in L_3, whose log-table generator c3*c0 has order 65535."""
+    return 65535 // gcd(_LOG16[v], 65535)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,18 @@ def test_factor_file_override(tmp_path, capsys):
     assert code == 1 and "ValidationError" in err
 
 
+def test_factor_file_merged_table_gives_the_same_answers(tmp_path, capsys):
+    # the override's entries are new objects, so group orders from level 3
+    # up take the checked path rather than the prebuilt one
+    path = tmp_path / "factors.txt"
+    path.write_text("N3: 257\nN5: 641 6700417\n")
+    for argv in (("order", "c3*c0"), ("order", "c6+c1"), ("primitive", "c5*c0"),
+                 ("primitive", "c4"), ("order", "c2+c1+1")):
+        plain = run(capsys, *argv)
+        assert plain[0] == 0 and plain[1]
+        assert run(capsys, *argv, "--factor-file", str(path)) == plain, argv
+
+
 def test_factor_file_composite_factor_exit_1(tmp_path, capsys):
     # N5 = 641 * 6700417 passes the product and congruence checks as one factor
     path = tmp_path / "composite.txt"

@@ -233,6 +233,31 @@ def test_group_order_refuses_a_table_that_is_not_the_group_size():
     assert is_primitive(x) == (True, 1)
 
 
+def test_builtin_group_orders_match_the_checked_path(table):
+    # equal but non-identical entries take the full product check
+    copies = [FermatFactorization(e.j, e.factors) for e in table]
+    for i in range(12):
+        prebuilt = group_order(i, fermat.builtin_factor_table())
+        assert group_order(i, table) is prebuilt
+        checked = group_order(i, copies)
+        assert checked == prebuilt and checked is not prebuilt
+
+
+def test_a_builtin_prefix_does_not_vouch_for_a_wrong_level(table):
+    t = table[:2] + [FermatFactorization(2, (3, 17))]
+    with pytest.raises(ValidationError):
+        group_order(2, t)
+    assert group_order(1, t) is group_order(1, table)
+
+
+def test_factorization_of_a_table_out_of_level_order(table):
+    shuffled = table[::-1]
+    assert all(factorization(shuffled, j) is table[j] for j in range(12))
+    assert factorization(table[5:], 7) is table[7]
+    with pytest.raises(MissingFactorization):
+        factorization(table[5:], 2)
+
+
 def test_factored_order_invariants():
     fo = FactoredOrder.from_prime_powers({5: 1, 3: 2})
     assert fo.value == 45

@@ -22,6 +22,7 @@ from nimtower.errors import (
     ZeroElement,
 )
 from nimtower.fermat import FactoredOrder, fermat_number, group_order
+from nimtower.oracle import nim_mul_rec
 from nimtower.orders import (
     alpha_chain,
     is_primitive,
@@ -247,6 +248,48 @@ def test_descent_not_an_exponent_for_lower_level_prime(table):
         multiplicative_order(generator("c", 4, 4), without)
     # c_2 has order 5 * 17, so the missing prime does not matter for it
     assert multiplicative_order(generator("c", 2, 2).lift(4), without).value == 85
+
+
+# -- the log-table leaf ------------------------------------------------------
+
+
+def test_leaf_orders_of_all_of_l3_meet_the_order_certificate(table):
+    # every order the leaf reads is checked through the generic power path
+    n = group_order(3, table)
+    for v in range(1, 1 << 16):
+        o = multiplicative_order(TowerElement(3, v), n)
+        assert pow_values(v, o.value, 16) == 1, v
+        for p, _ in o.factors:
+            assert pow_values(v, o.value // p, 16) != 1, (v, p)
+
+
+def test_leaf_orders_of_l2_match_the_oracle_brute_force(table):
+    n = group_order(2, table)
+    for v in range(1, 256):
+        acc, k = v, 1
+        while acc != 1:
+            acc, k = nim_mul_rec(acc, v), k + 1
+        assert multiplicative_order(TowerElement(2, v), n).value == k, v
+
+
+def test_leaf_refuses_an_exponent_without_257_outside_l2():
+    n = FactoredOrder(255, ((3, 1), (5, 1), (17, 1)))
+    refused = 0
+    for v in range(1, 1 << 16):
+        try:
+            o = multiplicative_order(TowerElement(3, v), n)
+        except NotAnExponent as exc:
+            assert v >> 8 and str(exc) == orders._NOT_AN_EXPONENT, v
+            refused += 1
+        else:
+            assert v >> 8 == 0 and 255 % o.value == 0, v
+    assert refused == 65535 - 255
+
+
+def test_leaf_ignores_a_prime_listed_with_multiplicity_zero():
+    # 15 = 3 * 5 * 17^0 is not an exponent of c_2 + c_1 + 1, of order 85
+    with pytest.raises(NotAnExponent):
+        multiplicative_order(TowerElement(2, 0x15), FactoredOrder(15, ((3, 1), (5, 1), (17, 0))))
 
 
 # -- is_primitive --------------------------------------------------------------
@@ -535,6 +578,27 @@ def test_a_step_with_a_wrong_y_is_refused(table, monkeypatch):
         verify_thm5(5, table)
     [record] = cli._run_verify_task(cli._Task("thm5.j05.factorization", "verify_thm5", (5,)))
     assert not record.ok and record.detail.startswith("ArithmeticFault: ")
+
+
+def test_a_leaf_step_with_a_wrong_y_is_refused(table, monkeypatch):
+    # at levels 1..3 the log table gives ord(y), and ord(y) | N_j certifies
+    # it: the wrong y for c_3 has order 17 * 257, which does not divide 257
+    y, _ = _wrong_y(generator("c", 3, 3).value, 16)
+    assert tower.leaf_order(y) == 17 * 257
+    monkeypatch.setattr(orders, "norm_split_values", _wrong_y)
+    orders._y_step.cache_clear()
+    with pytest.raises(ArithmeticFault, match="level 3"):
+        minimal_subfield_exponent(3, table)
+    with pytest.raises(ArithmeticFault, match="level 3"):
+        alpha_chain(3, "c", table)
+
+
+def test_a_leaf_step_outside_the_exponent_is_refused():
+    # y = conj(c_3)/c_3 has order 257, which the empty exponent 1 misses
+    y, _ = tower.norm_split_values(generator("c", 3, 3).value, 16)
+    with pytest.raises(NotAnExponent):
+        orders._y_step(y, 3, ())
+    assert orders._y_step(y, 3, ((257, 1),)) == ((257, 1),)
 
 
 def test_a_raising_suite_names_its_error_not_the_factor_table(monkeypatch, capsys):
