@@ -107,32 +107,6 @@ class FermatFactorization:
     factors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FactoredOrder:
-    """A positive integer with its prime factorization; value None takes their product."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        product, last = 1, 0
-        for p, e in self.factors:
-            if p <= last:
-                raise ValidationError("factors must be strictly increasing primes")
-            product, last = product * p**e, p
-        if self.value is None:  # from_prime_powers: the value is the product
-            object.__setattr__(self, "value", product)
-        elif product != self.value:
-            raise ValidationError("factored value does not match its factors")
-
-    @classmethod
-    def from_prime_powers(cls, pairs: dict[int, int]) -> "FactoredOrder":
-        return cls(None, tuple(sorted([(p, e) for p, e in pairs.items() if e > 0])))
-
-    def format(self) -> str:
-        return " * ".join(str(p) if e == 1 else f"{p}^{e}" for p, e in self.factors) or "1"
-
-
 def _entry_rules(
     entry: FermatFactorization, check_primality: bool = False, mr_rounds: int = 64, seed: int = 0
 ):
@@ -181,17 +155,6 @@ _BUILTIN_ENTRIES = tuple(
 )
 
 
-def _group_order(entries) -> FactoredOrder:
-    """group_order from the entries of levels 0..i, checked against 2^(2^(i+1)) - 1."""
-    primes = sorted(p for entry in entries for p in entry.factors)
-    return FactoredOrder((1 << (1 << len(entries))) - 1, tuple((p, 1) for p in primes))
-
-
-_BUILTIN_ORDERS = tuple(
-    _group_order(_BUILTIN_ENTRIES[: i + 1]) for i in range(BUILTIN_MAX_LEVEL + 1)
-)
-
-
 def builtin_factor_table() -> list[FermatFactorization]:
     """The embedded table for j = 0..11 (validated at import), as a fresh
     list of frozen entries."""
@@ -233,10 +196,7 @@ def merge_tables(
 
 
 def factorization(table: list[FermatFactorization], j: int) -> FermatFactorization:
-    """The table's entry for N_j, at index j in a table in level order from
-    N_0 (builtin, merged), else searched; MissingFactorization if none."""
-    if 0 <= j < len(table) and table[j].j == j:
-        return table[j]
+    """The table's entry for N_j; MissingFactorization if it has none."""
     for entry in table:
         if entry.j == j:
             return entry
@@ -305,9 +265,12 @@ def validate(
     for i in sorted({e.j for e in table}):
         if i < 1:
             continue
+        product = 1
+        for j in range(i):
+            product *= fermat_number(j)
         report.add(
             f"fermat.recurrence.i{i:02d}",
-            fermat_number(i) == prod(map(fermat_number, range(i))) + 2,
+            fermat_number(i) == product + 2,
             f"N_{i} = N_0*...*N_{i - 1} + 2",
         )
         if i >= 2:
@@ -323,6 +286,38 @@ def validate(
     return report
 
 
+@dataclass(frozen=True)
+class FactoredOrder:
+    """A positive integer carried together with its prime factorization."""
+
+    value: int
+    factors: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        product = 1
+        for p, e in self.factors:
+            product *= p**e
+        if product != self.value:
+            raise ValidationError("factored value does not match its factors")
+        primes = [p for p, _ in self.factors]
+        if primes != sorted(set(primes)):
+            raise ValidationError("factors must be strictly increasing primes")
+
+    @classmethod
+    def from_prime_powers(cls, pairs: dict[int, int]) -> "FactoredOrder":
+        order = object.__new__(cls)  # sorted distinct primes and their product: valid as built
+        object.__setattr__(order, "factors", tuple(sorted((p, e) for p, e in pairs.items() if e > 0)))
+        object.__setattr__(order, "value", prod(p**e for p, e in order.factors))
+        return order
+
+    def format(self) -> str:
+        if not self.factors:
+            return "1"
+        return " * ".join(
+            str(p) if e == 1 else f"{p}^{e}" for p, e in self.factors
+        )
+
+
 def group_order(i: int, table: list[FermatFactorization]) -> FactoredOrder:
     """The factored order N_0 * ... * N_i = 2^(2^(i+1)) - 1 of the level-i
     multiplicative group, prebuilt when the table's entries of levels 0..i
@@ -334,4 +329,11 @@ def group_order(i: int, table: list[FermatFactorization]) -> FactoredOrder:
     head = table[: i + 1]
     if len(head) == i + 1 <= len(_BUILTIN_ORDERS) and all(map(is_, head, _BUILTIN_ENTRIES)):
         return _BUILTIN_ORDERS[i]
-    return _group_order([factorization(table, j) for j in range(i + 1)])
+    primes = sorted(p for j in range(i + 1) for p in factorization(table, j).factors)
+    return FactoredOrder((1 << (1 << (i + 1))) - 1, tuple((p, 1) for p in primes))
+
+
+# Built at import through the checked path: while it is empty, group_order
+# has no prebuilt order to return.
+_BUILTIN_ORDERS: tuple[FactoredOrder, ...] = ()
+_BUILTIN_ORDERS = tuple(group_order(i, _BUILTIN_ENTRIES) for i in range(BUILTIN_MAX_LEVEL + 1))

@@ -250,19 +250,12 @@ def test_a_builtin_prefix_does_not_vouch_for_a_wrong_level(table):
     assert group_order(1, t) is group_order(1, table)
 
 
-def test_factorization_of_a_table_out_of_level_order(table):
-    shuffled = table[::-1]
-    assert all(factorization(shuffled, j) is table[j] for j in range(12))
-    assert factorization(table[5:], 7) is table[7]
-    with pytest.raises(MissingFactorization):
-        factorization(table[5:], 2)
-
-
 def test_factored_order_invariants():
     fo = FactoredOrder.from_prime_powers({5: 1, 3: 2})
     assert fo.value == 45
     assert fo.factors == ((3, 2), (5, 1))
     assert fo.format() == "3^2 * 5"
+    assert fo == FactoredOrder(45, ((3, 2), (5, 1))) == FactoredOrder.from_prime_powers({3: 2, 7: 0, 5: 1})
     assert FactoredOrder.from_prime_powers({}).format() == "1"
     with pytest.raises(ValidationError):
         FactoredOrder(10, ((3, 1),))

@@ -580,9 +580,9 @@ def test_a_step_with_a_wrong_y_is_refused(table, monkeypatch):
     assert not record.ok and record.detail.startswith("ArithmeticFault: ")
 
 
-def test_a_leaf_step_with_a_wrong_y_is_refused(table, monkeypatch):
-    # at levels 1..3 the log table gives ord(y), and ord(y) | N_j certifies
-    # it: the wrong y for c_3 has order 17 * 257, which does not divide 257
+def test_a_level3_step_with_a_wrong_y_is_refused(table, monkeypatch):
+    # the level-3 step certifies y by norm(y) = y^257 = 1: the wrong y for
+    # c_3 has order 17 * 257, so that norm is not 1
     y, _ = _wrong_y(generator("c", 3, 3).value, 16)
     assert tower.leaf_order(y) == 17 * 257
     monkeypatch.setattr(orders, "norm_split_values", _wrong_y)
@@ -593,7 +593,7 @@ def test_a_leaf_step_with_a_wrong_y_is_refused(table, monkeypatch):
         alpha_chain(3, "c", table)
 
 
-def test_a_leaf_step_outside_the_exponent_is_refused():
+def test_a_level3_step_outside_the_exponent_is_refused():
     # y = conj(c_3)/c_3 has order 257, which the empty exponent 1 misses
     y, _ = tower.norm_split_values(generator("c", 3, 3).value, 16)
     with pytest.raises(NotAnExponent):
