@@ -27,8 +27,12 @@ _HEAVY_CAP = 11  # default ceiling for quotient-check/corollary sweeps
 def _load_table(path: str | None):
     table = fermat.builtin_factor_table()
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            table = fermat.merge_tables(table, fermat.load_factor_table(fh.read()))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read factor file {path!r}: {exc}") from None
+        table = fermat.merge_tables(table, fermat.load_factor_table(text))
     return table
 
 
@@ -241,6 +245,7 @@ def _cmd_bench(args) -> int:
     batches = min(_BENCH_BATCHES, args.samples)
     size = args.samples // batches
     pow_reps = max(1, size // 10)
+    tower.width_of(args.max_level)  # LevelError before any level is timed
     for level in range(0, args.max_level + 1):
         width = tower.width_of(level)
         exponent = rng.getrandbits(64) | (1 << 63)

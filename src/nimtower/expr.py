@@ -14,19 +14,25 @@ Exponents are plain naturals; ``N<j>`` resolves to the Fermat number
 arithmetic is exact, so its sizes are bounded: a product may have at most
 MAX_EXPONENT_BITS bits, and the bit lengths of a division's operands may
 multiply to at most MAX_DIVISION_WORK (CPython divides big integers in
-quadratic time).  A power's work is bounded too: the exponent's bit
-length, capped at the width w since powers reduce it modulo 2^w - 1, times
-3^(level+1), the growth of one multiply, may be at most MAX_POWER_WORK,
-checked before the power or its base is computed.  Any overrun is a
-LevelError.  An expression evaluates at the highest level among its
-atoms; hex atoms take an explicit ``@L<k>`` level or adopt the
-expression's.  Parentheses nest at most MAX_NESTING deep; deeper input is
-a ParseError, not a RecursionError.
+quadratic time).
+
+Evaluation is one bottom-up pass.  Each atom is built at its own level:
+``cK`` and ``aK`` at K, ``0`` and ``1`` at -1, a hex atom at its ``@L<k>``
+level or else the smallest level that holds its value.  A sum or product
+lifts its operands to the highest level among them, and a power is
+computed in its base's field, so the result lies at the highest atom
+level.  A power's work is bounded at its base's level: the exponent's bit
+length, capped at the width w since powers reduce it modulo 2^w - 1,
+times 3^(level+1), the growth of one multiply, may be at most
+MAX_POWER_WORK, checked before the power is computed.  Any overrun is a
+LevelError.  Parentheses nest at most MAX_NESTING deep; deeper input is a
+ParseError, not a RecursionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DivideByZero, ExactDivError, LevelError, ParseError
 from .fermat import fermat_number
@@ -41,10 +47,11 @@ MAX_NESTING = 100
 # for every j <= MAX_LEVEL + 1 and p below 2048 bits.
 MAX_EXPONENT_BITS = 2 * width_of(MAX_LEVEL)
 MAX_DIVISION_WORK = 1 << 32
-# Bound on min(exponent bits, w) * 3^(level+1) for a power at width w: one
-# multiply costs about 3x per level, so the worst admitted power takes about
-# as long at every level.  It admits every power at level <= 12 (exponents
-# up to 8192 bits) and refuses (c13+c1)^N12 (4097 bits, 2730 allowed).
+# Bound on min(exponent bits, w) * 3^(level+1) for a power whose base lies
+# at a level of width w, checked before the power is computed: one multiply
+# costs about 3x per level, so the worst admitted power takes about as long
+# at every level.  It admits every power at level <= 12 (exponents up to
+# 8192 bits) and refuses (c13+c1)^N12 (4097 bits, 2730 allowed).
 MAX_POWER_WORK = width_of(12) * 3 ** 13
 
 
@@ -245,31 +252,6 @@ def parse_expr(s: str) -> object:
     return ast
 
 
-def _atom_levels(node, out: list[int]) -> None:
-    if isinstance(node, Sum):
-        for t in node.terms:
-            _atom_levels(t, out)
-    elif isinstance(node, Prod):
-        for f in node.factors:
-            _atom_levels(f, out)
-    elif isinstance(node, Pow):
-        _atom_levels(node.base, out)
-    elif isinstance(node, (CAtom, AAtom)):
-        out.append(node.k)
-    elif isinstance(node, BitAtom):
-        out.append(-1)
-    elif isinstance(node, HexAtom):
-        out.append(node.level if node.level is not None else _min_level_for(node.value))
-    else:
-        raise TypeError(f"not an element node: {node!r}")
-
-
-def infer_level(ast) -> int:
-    levels: list[int] = []
-    _atom_levels(ast, levels)
-    return max(levels)
-
-
 def divrem(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder with a = q*b + r, 0 <= r < b."""
     if b == 0:
@@ -305,42 +287,39 @@ def eval_int(node) -> int:
     return acc
 
 
-def _eval_at(node, level: int) -> TowerElement:
+def _combine(op, nodes) -> TowerElement:
+    """Fold op over the operands, each lifted to the highest level among them."""
+    parts = [_eval(n) for n in nodes]
+    level = max(p.level for p in parts)
+    return reduce(op, (p.lift(level) for p in parts))
+
+
+def _eval(node) -> TowerElement:
     if isinstance(node, Sum):
-        out = _eval_at(node.terms[0], level)
-        for t in node.terms[1:]:
-            out = out.add(_eval_at(t, level))
-        return out
+        return _combine(TowerElement.add, node.terms)
     if isinstance(node, Prod):
-        out = _eval_at(node.factors[0], level)
-        for f in node.factors[1:]:
-            out = out.mul(_eval_at(f, level))
-        return out
+        return _combine(TowerElement.mul, node.factors)
     if isinstance(node, Pow):
         e = eval_int(node.exponent)
-        if min(e.bit_length(), width_of(level)) * 3 ** (level + 1) > MAX_POWER_WORK:
+        base = _eval(node.base)
+        if min(e.bit_length(), base.width) * 3 ** (base.level + 1) > MAX_POWER_WORK:
             raise LevelError(
-                f"power work {e.bit_length()} exponent bits x 3^{level + 1}"
+                f"power work {e.bit_length()} exponent bits x 3^{base.level + 1}"
                 f" above {MAX_POWER_WORK}"
             )
-        return _eval_at(node.base, level).pow(e)
+        return base.pow(e)
     if isinstance(node, CAtom):
-        return generator("c", node.k, level)
+        return generator("c", node.k, node.k)
     if isinstance(node, AAtom):
-        return generator("a", node.k, level)
+        return generator("a", node.k, node.k)
     if isinstance(node, BitAtom):
-        return TowerElement(level, node.value)
+        return TowerElement(-1, node.value)
     if isinstance(node, HexAtom):
-        own = node.level if node.level is not None else level
-        return TowerElement(own, node.value).lift(level)
+        own = node.level if node.level is not None else _min_level_for(node.value)
+        return TowerElement(own, node.value)
     raise TypeError(f"not an element node: {node!r}")
 
 
-def eval_expr(ast) -> TowerElement:
-    """Evaluate at the expression's inferred level, lifting atoms as needed."""
-    return _eval_at(ast, infer_level(ast))
-
-
 def evaluate(s: str) -> TowerElement:
-    """Parse and evaluate in one step."""
-    return eval_expr(parse_expr(s))
+    """Parse and evaluate in one bottom-up pass."""
+    return _eval(parse_expr(s))

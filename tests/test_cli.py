@@ -144,6 +144,21 @@ def test_factor_file_composite_factor_exit_1(tmp_path, capsys):
     assert code == 1 and out == ""
 
 
+def test_factor_file_missing_exit_2(tmp_path, capsys):
+    path = tmp_path / "no-such-file.txt"
+    code, out, err = run(capsys, "order", "c2", "--factor-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read factor file") and err.count("\n") == 1
+
+
+def test_factor_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# \xe9t\xe9\nN5: 641 6700417\n")
+    code, out, err = run(capsys, "primitive", "c5", "--factor-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read factor file") and err.count("\n") == 1
+
+
 def test_parse_nat_hex_convenience():
     assert parse_nat("0x20") == 32
     assert parse_nat("0XfF") == 255
@@ -291,6 +306,16 @@ def test_bench_runs(capsys):
     code, out, _ = run(capsys, "bench", "--max-level", "1", "--samples", "4")
     assert code == 0
     assert out.splitlines()[0].startswith("level  0:")
+
+
+def test_bench_above_the_level_ceiling_exit_1(capsys):
+    import time
+
+    started = time.perf_counter()
+    code, out, err = run(capsys, "bench", "--max-level", "25")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and out == ""
+    assert "LevelError" in err
 
 
 @pytest.mark.parametrize(

@@ -173,9 +173,60 @@ def test_eval_hex_level_check():
 
 
 def test_eval_lift_error_never_needed():
-    # the max-level inference means atoms only ever lift upward
+    # operands lift to the highest level among them, so only ever upward
     assert evaluate("c0*c3").level == 3
     assert evaluate("a2*c0") == evaluate("c2*c1*c0*c0")
+
+
+def test_low_level_powers_inside_high_level_expressions_evaluate():
+    # each power is computed and bounded in its base's field, not at the
+    # level of the whole expression
+    c1, c20 = tower.generator("c", 1, 1), tower.generator("c", 20, 20)
+    assert evaluate("c1^2*c20") == c1.pow(2).lift(20) * c20
+    zero_to_5th = tower.TowerElement(-1, 0).pow(5).lift(5)
+    c5_sum = (tower.generator("c", 5, 5) + zero_to_5th).lift(20)
+    assert evaluate("a20*(c5+0^5)") == tower.generator("a", 20, 20) * c5_sum
+    assert evaluate("c1^(N11*N11)+c13").level == 13
+
+
+def _random_expression(rng, depth):
+    """A seeded element expression with atoms at levels <= 8."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        kind = rng.choice("ca01h")
+        if kind in "ca":
+            return f"{kind}{rng.randint(0, 8)}"
+        if kind == "h":
+            level = rng.randint(0, 8)
+            return f"{rng.getrandbits(tower.width_of(level)):#x}@L{level}"
+        return kind
+    if roll < 0.55:
+        j = rng.randint(0, 8)
+        exponent = rng.choice([str(rng.randint(1, 300)), f"N{j}", f"(N{j}*{rng.randint(2, 9)})"])
+        return f"({_random_expression(rng, depth - 1)})^{exponent}"
+    op = "+" if roll < 0.8 else "*"
+    return op.join(f"({_random_expression(rng, depth - 1)})" for _ in range(rng.randint(2, 3)))
+
+
+def test_subfield_embedding_commutes_with_evaluation():
+    rng = random.Random(1409)
+    for _ in range(150):
+        s = _random_expression(rng, 3)
+        try:
+            x = evaluate(s)
+        except ZeroToZero:
+            continue
+        k = rng.randint(max(x.level, 0), 8)
+        assert evaluate(f"({s})+0x0@L{k}") == x.lift(k), s
+        e = rng.randint(1, 1 << 20)
+        assert evaluate(f"({s})^{e}+0x0@L{k}") == x.lift(k).pow(e), s
+
+
+def test_refused_outer_power_over_an_admitted_inner_power():
+    started = time.perf_counter()
+    with pytest.raises(LevelError, match="power work 4097 exponent bits x 3\\^14"):
+        evaluate("((c12+c1)^2+c13)^N12")
+    assert time.perf_counter() - started < 1.0
 
 
 def test_eval_matches_manual_arithmetic():
