@@ -23,10 +23,10 @@ lifts its operands to the highest level among them, and a power is
 computed in its base's field, so the result lies at the highest atom
 level.  A power's work is bounded at its base's level: the exponent's bit
 length, capped at the width w since powers reduce it modulo 2^w - 1,
-times 3^(level+1), the growth of one multiply, may be at most
-MAX_POWER_WORK, checked before the power is computed.  Any overrun is a
-LevelError.  Parentheses nest at most MAX_NESTING deep; deeper input is a
-ParseError, not a RecursionError.
+times POWER_GROWTH^(level+1), the growth of one multiply, may be at most
+MAX_POWER_WORK (x^0 and x^1 need no multiply and pass), checked before
+the power is computed.  Any overrun is a LevelError.  Parentheses nest at
+most MAX_NESTING deep; deeper input is a ParseError, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -47,12 +47,14 @@ MAX_NESTING = 100
 # for every j <= MAX_LEVEL + 1 and p below 2048 bits.
 MAX_EXPONENT_BITS = 2 * width_of(MAX_LEVEL)
 MAX_DIVISION_WORK = 1 << 32
-# Bound on min(exponent bits, w) * 3^(level+1) for a power whose base lies
-# at a level of width w, checked before the power is computed: one multiply
-# costs about 3x per level, so the worst admitted power takes about as long
-# at every level.  It admits every power at level <= 12 (exponents up to
-# 8192 bits) and refuses (c13+c1)^N12 (4097 bits, 2730 allowed).
-MAX_POWER_WORK = width_of(12) * 3 ** 13
+# Bound on min(exponent bits, w) * POWER_GROWTH^(level+1) for a power whose
+# base lies at a level of width w, so the worst admitted power takes about as
+# long at every level: a dense multiply costs 3.1x more per level from 12 to
+# 14, 3.6x from 14 to 15 (shared 2-vCPU machine); 3.25 is exact in binary.
+# It admits every power at level <= 12 (8192 exponent bits) and refuses
+# (c13+c1)^N12 (4097 bits, 2520 allowed) and 893 bits at level 14 (775).
+POWER_GROWTH = 3.25
+MAX_POWER_WORK = width_of(12) * POWER_GROWTH ** 13
 
 
 # Element nodes.
@@ -302,10 +304,10 @@ def _eval(node) -> TowerElement:
     if isinstance(node, Pow):
         e = eval_int(node.exponent)
         base = _eval(node.base)
-        if min(e.bit_length(), base.width) * 3 ** (base.level + 1) > MAX_POWER_WORK:
+        if e > 1 and min(e.bit_length(), base.width) * POWER_GROWTH ** (base.level + 1) > MAX_POWER_WORK:
             raise LevelError(
-                f"power work {e.bit_length()} exponent bits x 3^{base.level + 1}"
-                f" above {MAX_POWER_WORK}"
+                f"power work {e.bit_length()} exponent bits x {POWER_GROWTH}^{base.level + 1}"
+                f" above {MAX_POWER_WORK:.4g}"
             )
         return base.pow(e)
     if isinstance(node, CAtom):

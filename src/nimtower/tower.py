@@ -23,19 +23,18 @@ is a thin immutable wrapper that adds level bookkeeping.
 
 Base cases: log/antilog tables of the 65536-element field (width 16), and
 its maps "times a_3" (A) and "squared", serve every width up to 16, each
-smaller field being a subfield with the same values; _build_tables makes
-them at import from linearity, as arrays of 16-bit entries (0.65 MB in
-all) that stay in cache while the kernels read them at random.  Squaring
-and _mul_top (times the top monomial) are F2-linear at every width too, so
-from 32 to 256 bits each is one byte-sliced table: slice k holds the
-images of the 256 values of byte k, and a value maps to the XOR of one
-entry per byte.  The module builds them at import too, narrowest first,
-from the images of the w basis bits under the half-width split written
-above (_build_slices); above 256 bits both kernels recurse down to the
-tables.  No table changes after import, so the kernels need no lock.  _mul
-is straight-line code at 32 bits (three 16-bit log products and one A) and
-at 64 bits (two Karatsuba levels: nine log products, A read from its
-table), and recurses above.
+smaller field being a subfield with the same values: arrays of 16-bit
+entries (0.65 MB in all), which stay in cache under random reads, built at
+import with no Python step per entry but the loop that inverts the antilog
+table.  Squaring and _mul_top (times the top monomial) are F2-linear at
+every width too, so from 32 to 256 bits each is one byte-sliced table:
+slice k holds the images of the 256 values of byte k, and a value maps to
+the XOR of one entry per byte; _build_slices makes them at import from the
+half width's, and above 256 bits both kernels recurse down to the tables.
+No table changes after import, so the kernels need no lock.  _mul is
+straight-line code at 32 bits (three 16-bit log products and one A) and at
+64 bits (two Karatsuba levels: nine log products, A read from its table),
+and recurses above.
 
 Every square and top-multiply of width 32 and up, and every product of
 width 32 or of 128 and up, passes through the one line of _mul_top that
@@ -53,6 +52,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import reduce
@@ -101,6 +101,23 @@ def _span(images: list[int]) -> list[int]:
     return table
 
 
+def _array16(data: bytes) -> array:
+    """Little-endian 16-bit entries as an array: the one place that knows byte order."""
+    table = array("H", data)
+    if sys.byteorder == "big":
+        table.byteswap()
+    return table
+
+
+def _span16(images: list[int]) -> array:
+    """_span of 16-bit images as an array, in one int doubled per image (slot x = entry x)."""
+    table, ones = 0, 1
+    for n, image in enumerate(images):
+        table |= (table ^ image * ones) << (16 << n)
+        ones |= ones << (16 << n)
+    return _array16(table.to_bytes(2 << len(images), "little"))
+
+
 def _mul_plain(a: int, b: int, w: int) -> int:
     """The product recursion with no table, for building the tables."""
     if w == 1:
@@ -113,35 +130,46 @@ def _mul_plain(a: int, b: int, w: int) -> int:
     return ((mid ^ ll) << half) ^ _mul_plain(hh, 1 << (half - 1), half) ^ ll
 
 
+def _times(c: int) -> tuple[list[int], list[int]]:
+    """x -> x*c on the width-16 field as two byte tables: x*c = lo[x & 255] ^ hi[x >> 8]."""
+    images = [_mul_plain(1 << k, c, LOG_TABLE_BITS) for k in range(LOG_TABLE_BITS)]
+    return _span(images[:8]), _span(images[8:])
+
+
 def _build_tables() -> tuple[array, array, array, array]:
-    # Log/antilog for the width-16 field, generated by c3*c0: times-the-
-    # generator is F2-linear, so its table is the span of 16 basis images.
-    # The antilog table is doubled so exponent sums need no reduction mod
-    # 65535; the walk stops early if the generator's order is too small.
-    bits, order = LOG_TABLE_BITS, (1 << LOG_TABLE_BITS) - 1
-    times_g = _span([_mul_plain(1 << k, _LOG_GENERATOR, bits) for k in range(bits)])
-    exp = array("H", [0]) * (2 * order)
-    log = array("H", [0]) * (order + 1)
-    x = 1
-    for i in range(order):
-        exp[i] = x
-        log[x] = i
-        x = times_g[x]
-        if x == 1:
-            break
-    if i != order - 1 or x != 1:
+    # Antilog for the width-16 field, generated by g = c3*c0, in 256 blocks:
+    # block j holds g^(256j + r) for r < 256.  Block 0 is a walk by times g;
+    # each next block is the last times h = g^256, the low and high bytes of
+    # all its entries mapped at once.
+    order = (1 << LOG_TABLE_BITS) - 1
+    lo, hi = _times(_LOG_GENERATOR)
+    powers = [1]
+    for _ in range(256):
+        powers.append(lo[powers[-1] & 255] ^ hi[powers[-1] >> 8])
+    maps = [bytes(v >> s & 255 for v in t) for t in _times(powers.pop()) for s in (0, 8)]
+    block = bytes(x & 255 for x in powers) + bytes(x >> 8 for x in powers)
+    data = bytearray(2 << LOG_TABLE_BITS)
+    for j in range(0, len(data), 512):
+        lo8, hi8 = block[:256], block[256:]
+        data[j:j + 512:2], data[j + 1:j + 512:2] = lo8, hi8
+        x = int.from_bytes(lo8.translate(maps[0]) + lo8.translate(maps[1]), "little")
+        x ^= int.from_bytes(hi8.translate(maps[2]) + hi8.translate(maps[3]), "little")
+        block = x.to_bytes(512, "little")
+    ring = _array16(data)
+    # g has full order iff g^65535 = 1 and g^(65535/p) != 1 for p in 3*5*17*257
+    if ring[order] != 1 or 1 in [ring[order // p] for p in (3, 5, 17, 257)]:
         raise AssertionError("log-table generator does not have full order")
-    exp[order:] = exp[:order]
-    del times_g
-
-    # "Times a_3" and "squared" are F2-linear too: spans of their basis
-    # images, read off the logs.  As lists of int objects the four tables
-    # took 6.1 MB, and each leaf read chased a pointer out of cache.
-    log_top = log[1 << (bits - 1)]
-    basis_logs = [log[1 << k] for k in range(bits)]
-    mul_top16 = array("H", _span([exp[lv + log_top] for lv in basis_logs]))
-    sq16 = array("H", _span([exp[2 * lv] for lv in basis_logs]))
-
+    exp = ring[:order] * 2  # doubled: exponent sums need no reduction mod 65535
+    log = array("H", bytes(2 << LOG_TABLE_BITS))
+    for i, x in enumerate(ring[:order]):
+        log[x] = i
+    # "Times a_3" and "squared" are F2-linear: spans of their basis images,
+    # read off the logs.  As lists of int objects the four tables took
+    # 6.1 MB, and each leaf read chased a pointer out of cache.
+    log_top = log[1 << (LOG_TABLE_BITS - 1)]
+    basis_logs = [log[1 << k] for k in range(LOG_TABLE_BITS)]
+    mul_top16 = _span16([exp[lv + log_top] for lv in basis_logs])
+    sq16 = _span16([exp[2 * lv] for lv in basis_logs])
     return exp, log, mul_top16, sq16
 
 
@@ -250,20 +278,20 @@ def _square_split(a: int, w: int) -> int:
     return (hh << half) ^ _mul_top(hh, half) ^ _square(a & ((1 << half) - 1), half)
 
 
-def _build_slices(w: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The width-w byte-slice tables of "squared" and "times the top
-    monomial": slice k is the span of the images of bits 8k..8k+7, each
-    computed by the half-width split, which reads the half width's tables."""
-    sq = [_square_split(1 << j, w) for j in range(w)]
-    top = [_mul_top_split(1 << j, w) for j in range(w)]
-    return tuple([_span(images[k:k + 8]) for k in range(0, w, 8)] for images in (sq, top))
+def _build_slices() -> None:
+    """Fill _SLICES, narrowest first, each slice the span of 8 basis images.
+    By the half-width split, bit j < w/2 keeps its half-width image s (times
+    the top: s << w/2), and bit j + w/2 gets (s << w/2) ^ _mul_top(s, w/2)."""
+    sq, top = [_SQ16[1 << j] for j in range(16)], [_mul_top(1 << j, 16) for j in range(16)]
+    half = 16
+    while half < _SLICE_MAX_BITS:
+        sq = sq + [(s << half) ^ _mul_top(s, half) for s in sq]
+        top = [t << half for t in top] + [(t << half) ^ _mul_top(t, half) for t in top]
+        half <<= 1
+        _SLICES[half] = tuple([_span(images[k:k + 8]) for k in range(0, half, 8)] for images in (sq, top))
 
 
-_w = 32  # narrowest first: each width's basis images read the half width's tables
-while _w <= _SLICE_MAX_BITS:
-    _SLICES[_w] = _build_slices(_w)
-    _w <<= 1
-del _w
+_build_slices()
 
 
 def _norm(a: int, w: int) -> int:

@@ -203,12 +203,13 @@ def test_kernels_below_width16_read_the_logs(w):
         assert _mul_top(x, w) == nim_mul_rec(x, 1 << (w - 1)), (w, x)
 
 
-def test_a_log_generator_of_short_order_is_refused(monkeypatch):
-    # c_3 = 0x100 has order 21845, a divisor of 65535: the antilog walk
-    # returns to 1 early, and the build raises before replacing any table
+@pytest.mark.parametrize("p", [3, 5, 17, 257])
+def test_a_log_generator_of_short_order_is_refused(monkeypatch, p):
+    # g^p, g = c3*c0, has order 65535/p: it lacks the prime p of
+    # 65535 = 3*5*17*257, and the build raises before replacing any table
     names = ("_EXP16", "_LOG16", "_MUL_TOP16", "_SQ16")
     before = [getattr(tower, name) for name in names]
-    monkeypatch.setattr(tower, "_LOG_GENERATOR", 0x100)
+    monkeypatch.setattr(tower, "_LOG_GENERATOR", tower._EXP16[p])
     with pytest.raises(AssertionError, match="full order"):
         tower._build_tables()
     assert all(getattr(tower, n) is t for n, t in zip(names, before))
@@ -244,6 +245,14 @@ def test_slice_table_basis_entries_match_recursive_oracle(w):
             x = 1 << (8 * k + b)
             assert sq[k][1 << b] == nim_mul_rec(x, x), (w, k, b)
             assert top[k][1 << b] == nim_mul_rec(x, 1 << (w - 1)), (w, k, b)
+        # every entry is the XOR of the basis entries over its bits
+        for table in (sq[k], top[k]):
+            for x in range(256):
+                want = 0
+                for b in range(8):
+                    if x >> b & 1:
+                        want ^= table[1 << b]
+                assert table[x] == want, (w, k, x)
 
 
 def test_kernels_are_safe_under_concurrency():
