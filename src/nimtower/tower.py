@@ -34,15 +34,30 @@ half width's, and above 256 bits both kernels recurse down to the tables.
 No table changes after import, so the kernels need no lock.  _mul is
 straight-line code at 32 bits (three 16-bit log products and one A) and at
 64 bits (two Karatsuba levels: nine log products, A read from its table),
-and recurses above.
+and recurses at 128 and 256 bits.
+
+From _WIDE_BITS = 512 to _WIDE_MAX_BITS = 16384 bits, products take one
+wide path, which folds the top-multiply into a fixed factor.  In x*y the
+term xh*yh*a_{k-1} is xh*top(yh), so _prepare sweeps y down breadth-first
+once, each block becoming (top(yh), yl, yh+yl), to its 3^d 8-bit leaves,
+kept as logs.  _mul_prepared then sweeps x down as (xh, xl, xh+xl), forms
+all leaf products in L_2 at once with bytes.translate through 8-bit log and
+antilog tables (read off the 16-bit ones at import: g^257 generates L_2*)
+and one big-int add, and joins each triple (P1, P2, P3) on the way up as
+high P3+P2, low P1+P2, with no top-multiply anywhere.  _mul prepares its
+second factor; _pow prepares its base or window powers once and reuses them,
+which is where the path pays: in a chain x <- x*b at 1024 bits a prepared
+multiply took 0.09-0.14 ms, the recursion 0.50-0.57 ms (shared 2-vCPU
+machine).  Below 512 bits preparing costs more than it saves; above 16384
+the leaves would take megabytes, so _mul recurses down to it.
 
 Every square and top-multiply of width 32 and up, and every product of
 width 32 or of 128 and up, passes through the one line of _mul_top that
-returns A at width 16: the slice tables are built through it, and the
-width-32 product applies A by calling it.  perfbench's corruption
-self-test edits that line and expects every workload to notice.  Each
-kernel tests the table widths first, so calls at levels <= 3 dispatch at
-once.
+returns A at width 16: the slice tables are built through it, the width-32
+product applies A by calling it, and _prepare top-multiplies blocks of 128
+bits and up with _mul_top.  perfbench's corruption self-test edits that
+line and expects every workload to notice.  Each kernel tests the table
+widths first, so calls at levels <= 3 dispatch at once.
 
 Levels run from -1 to MAX_LEVEL; width_of, generator and TowerElement
 refuse any other level before allocating anything of its size.
@@ -57,7 +72,7 @@ from array import array
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from operator import getitem, xor
+from operator import getitem, itemgetter, xor
 
 from .errors import (
     LevelError,
@@ -76,9 +91,9 @@ LOG_TABLE_BITS = 16
 # expressions and factor files may name.  A level-20 element and N_21 each
 # take 2^21 bits (256 KiB); the paper's claims, the tests and the reports
 # use levels up to 13.  The ceiling bounds the size of a value, not the
-# time to compute with it: a multiply costs about 3x per level, and one
-# random level-20 multiply took 258 s (level 15: 0.56 s) on a shared
-# 2-vCPU machine.
+# time to compute with it: a multiply costs about 3x per level.  On a
+# shared 2-vCPU machine one random level-15 multiply took 0.29 s, and a
+# level-20 one 258 s before the wide product path.
 MAX_LEVEL = 20
 # Generator used to build the 16-bit log tables: c3*c0, primitive in L_3.
 _LOG_GENERATOR = 0x200
@@ -231,6 +246,11 @@ def _mul(a: int, b: int, w: int) -> int:
     bh, bl = b >> half, b & mask
     if ah | bh == 0:
         return _mul(al, bl, half)
+    if ah == 0 or bh == 0:  # one factor s in the half-width field: s*(th*c + tl)
+        s, th = (al, bh) if ah == 0 else (bl, ah)
+        return (_mul(s, th, half) << half) ^ _mul(al, bl, half)
+    if _WIDE_BITS <= w <= _WIDE_MAX_BITS:
+        return _mul_prepared(a, _prepare(b, w), w)
     hh = _mul(ah, bh, half)
     ll = _mul(al, bl, half)
     mid = _mul(ah ^ al, bh ^ bl, half)
@@ -294,6 +314,122 @@ def _build_slices() -> None:
 _build_slices()
 
 
+# ---------------------------------------------------------------------------
+# The wide product (see the module docstring).  A prepared factor has 3^d
+# leaves at width 8*2^d: 3^11 take 0.35 MB as lanes at _WIDE_MAX_BITS.
+_WIDE_BITS = 512
+_WIDE_MAX_BITS = 1 << 14
+
+
+def _build_tables8() -> tuple[bytes, bytes, bytes]:
+    """Antilog, log and "times a_2" tables of L_2 = GF(256) for bytes.translate,
+    read off the 16-bit ones; antilog entry 255 is g^0 = 1, so a log sum
+    folded into 0..255 needs no further reduction."""
+    exp = list(_EXP16[:65536:257])
+    if sorted(exp[:255]) != list(range(1, 256)):
+        raise AssertionError("g^257 does not generate L_2*")
+    log = bytes([0] + [_LOG16[v] // 257 for v in range(1, 256)])
+    top = bytes([0] + [exp[(log[v] + log[0x80]) % 255] for v in range(1, 256)])
+    return bytes(exp), log, top
+
+
+_EXP8, _LOG8, _TOP8 = _build_tables8()
+_NONZERO8 = bytes([0]) + bytes([255]) * 255
+
+
+def _reversals(limit: int) -> dict[int, itemgetter]:
+    """For n = 2, 4 .. limit, a getter of n items in bit-reversed order of
+    position: entries 2j and 2j + 1 of the order on 2n items are entry j of
+    the order on n and that plus n, so each order is every other entry of the next."""
+    perm = [0]
+    while len(perm) < limit:
+        wider = perm * 2
+        wider[::2], wider[1::2] = perm, [p + len(perm) for p in perm]
+        perm = wider
+    return {len(perm) >> k: itemgetter(*perm[:: 1 << k]) for k in range(len(perm).bit_length() - 1)}
+
+
+# The sweeps keep each block's bytes in bit-reversed order: then the high and
+# low halves of all blocks at once are the odd and the even bytes.
+_REVERSED = _reversals(_WIDE_MAX_BITS >> 3)
+
+
+def _reverse(data: bytes) -> bytes:
+    """data's bytes in bit-reversed order of position (an involution)."""
+    return bytes(_REVERSED[len(data)](data)) if len(data) > 1 else data
+
+
+def _xor_bytes(x: bytes, y: bytes) -> bytes:
+    return (int.from_bytes(x, "little") ^ int.from_bytes(y, "little")).to_bytes(len(x), "little")
+
+
+def _interleave(even: bytes, odd: bytes) -> bytearray:
+    out = bytearray(2 * len(even))
+    out[::2], out[1::2] = even, odd
+    return out
+
+
+def _top_blocks(data: bytes, size: int) -> bytes:
+    """_mul_top of every size-byte block of data, by the top-multiply split
+    on the narrow blocks and per value on blocks of 128 bits and up."""
+    if size == 1:
+        return data.translate(_TOP8)
+    if size > 8:
+        w, blocks = size << 3, range(0, len(data), size)
+        tops = [_mul_top(int.from_bytes(_reverse(data[i:i + size]), "little"), w) for i in blocks]
+        return b"".join([_reverse(t.to_bytes(size, "little")) for t in tops])
+    # x*a = top(xh ^ xl)*c + top(top(xh)) on halves; both inner tops in one call
+    high, low = data[1::2], data[::2]
+    n = len(high)
+    tops = _top_blocks(high + _xor_bytes(high, low), size >> 1)
+    return _interleave(_top_blocks(tops[:n], size >> 1), tops[n:])
+
+
+def _prepare(b: int, w: int) -> tuple[int, int]:
+    """The fixed factor of _mul_prepared: b swept down breadth-first, each
+    block y becoming the triple (top(yh), yl, yh ^ yl), to 8-bit leaves;
+    kept as the leaves' logs in 16-bit lanes and a mask of the nonzero ones."""
+    size = w >> 3
+    data = _reverse(b.to_bytes(size, "little"))
+    while size > 1:
+        size >>= 1
+        high, low = data[1::2], data[::2]
+        data = b"".join([_top_blocks(high, size), low, _xor_bytes(high, low)])
+    logs = bytearray(2 * len(data))
+    logs[::2] = data.translate(_LOG8)
+    return int.from_bytes(logs, "little"), int.from_bytes(data.translate(_NONZERO8), "little")
+
+
+def _mul_prepared(a: int, prepared: tuple[int, int], w: int) -> int:
+    """a*b for b prepared at width w.  x*y's low half xh*yh*a_{k-1} + xl*yl
+    is xh*top(yh) + xl*yl, so against the triple (top(yh), yl, yh ^ yl) a
+    block x splits into (xh, xl, xh ^ xl), the three products P1, P2, P3
+    join as high P3 ^ P2 and low P1 ^ P2, and nothing is top-multiplied."""
+    logs, nonzero = prepared
+    data = _reverse(a.to_bytes(w >> 3, "little"))
+    depth = (w >> 3).bit_length() - 1
+    for _ in range(depth):
+        high, low = data[1::2], data[::2]
+        data = b"".join([high, low, _xor_bytes(high, low)])
+    # The 3^depth leaf products in L_2: log sums (0..508) in 16-bit lanes,
+    # folded mod 255 into one byte each, then the antilog and the masks.
+    n = len(data)
+    wide = bytearray(2 * n)
+    wide[::2] = data.translate(_LOG8)
+    lanes = int.from_bytes(b"\xff\x00" * n, "little")
+    s = int.from_bytes(wide, "little") + logs
+    s = (s & lanes) + (s >> 8 & lanes)
+    p = int.from_bytes(s.to_bytes(2 * n, "little")[::2].translate(_EXP8), "little")
+    p &= nonzero & int.from_bytes(data.translate(_NONZERO8), "little")
+    data = p.to_bytes(n, "little")
+    for _ in range(depth):
+        third = len(data) // 3
+        p = int.from_bytes(data, "little")
+        e = (p ^ p >> 8 * third).to_bytes(len(data), "little")  # P1 ^ P2, P2 ^ P3, P3
+        data = _interleave(e[:third], e[third:2 * third])
+    return int.from_bytes(_reverse(data), "little")
+
+
 def _norm(a: int, w: int) -> int:
     """a*conj(a) = a^(2^(w/2)+1), which lies in the half-width subfield."""
     half = w >> 1
@@ -316,27 +452,38 @@ def _inv(a: int, w: int) -> int:
 # Exponent size above which _pow uses sliding windows, and their width in
 # bits (odd powers a^1 .. a^(2^k - 1)); both chosen by measurement.
 _POW_WINDOW_THRESHOLD = 64
-_POW_WINDOW_BITS = 5
+_POW_WINDOW_BITS = 4
+
+
+def _unprepared(b: int, w: int) -> int:
+    return b
 
 
 def _pow(a: int, e: int, w: int) -> int:
     """Left-to-right square-and-multiply (sliding windows over odd powers
-    for long exponents).
+    for long exponents), each fixed factor prepared once at wide widths.
 
-    A nonzero base has an order dividing 2^w - 1, so e is reduced modulo
-    it first; 0^e is 0 for e > 0."""
+    A nonzero base in the width-w field has an order dividing 2^w - 1, so e
+    is reduced modulo it first, at the narrowest such w; 0^e is 0 for e > 0."""
     if a == 0:
         return 0 if e else 1
+    while w > 16 and a >> (w >> 1) == 0:
+        w >>= 1  # the powers of a stay in the half-width field
     e %= (1 << w) - 1
     if e == 0 or a == 1:
         return 1
+    if _WIDE_BITS <= w <= _WIDE_MAX_BITS:
+        prepare, times = _prepare, _mul_prepared
+    else:
+        prepare, times = _unprepared, _mul
     bits = e.bit_length()
     if bits <= _POW_WINDOW_THRESHOLD:
+        base = prepare(a, w)
         r = a
         for i in range(bits - 2, -1, -1):
             r = _square(r, w)
             if (e >> i) & 1:
-                r = _mul(r, a, w)
+                r = times(r, base, w)
         return r
     k = _POW_WINDOW_BITS
     # Cut e into windows, low end first: each starts at a 1-bit and spans
@@ -350,16 +497,17 @@ def _pow(a: int, e: int, w: int) -> int:
         windows.append((e & ((1 << k) - 1), shift))
         e >>= k
         shift += k
-    square_a = _square(a, w)
+    square_a = prepare(_square(a, w), w)
     odd = [a]
     for _ in range((1 << (k - 1)) - 1):
-        odd.append(_mul(odd[-1], square_a, w))
+        odd.append(times(odd[-1], square_a, w))
     digit, shift = windows.pop()
     r = odd[digit >> 1]
+    factors = {d: prepare(odd[d >> 1], w) for d in {d for d, _ in windows}}
     for digit, low in reversed(windows):
         for _ in range(shift - low):
             r = _square(r, w)
-        r = _mul(r, odd[digit >> 1], w)
+        r = times(r, factors[digit], w)
         shift = low
     for _ in range(shift):
         r = _square(r, w)

@@ -255,19 +255,147 @@ def test_slice_table_basis_entries_match_recursive_oracle(w):
                 assert table[x] == want, (w, k, x)
 
 
+# -- wide product ------------------------------------------------------------
+
+
+def test_8bit_tables_match_recursive_oracle():
+    # exhaustive: the L_2 tables of the wide product, and all 65536 leaf
+    # products through the kernel at width 8 (no split, just the leaves)
+    from nimtower.oracle import nim_mul_rec
+    from nimtower.tower import _mul_prepared, _prepare
+
+    exp, log, top = tower._EXP8, tower._LOG8, tower._TOP8
+    tables = (exp, log, top, tower._NONZERO8)
+    assert all(type(t) is bytes and len(t) == 256 for t in tables)
+    assert exp[0] == exp[255] == 1
+    assert list(exp[1:]) == [nim_mul_rec(x, exp[1]) for x in exp[:-1]]
+    assert sorted(exp[:255]) == list(range(1, 256))
+    # log[0] is never read unmasked, but fixed, so that no entry can drift
+    assert log[0] == 0 and all(log[exp[i]] == i for i in range(255))
+    assert list(top) == [nim_mul_rec(x, 0x80) for x in range(256)]
+    assert list(tower._NONZERO8) == [0] + [255] * 255
+    prepared = [_prepare(b, 8) for b in range(256)]
+    for a in range(256):
+        got = [_mul_prepared(a, p, 8) for p in prepared]
+        assert got == [nim_mul_rec(a, b) for b in range(256)], a
+
+
+@pytest.mark.parametrize("index", [257 * 5, 257 * 200])
+def test_an_8bit_antilog_outside_l2_is_refused(monkeypatch, index):
+    # the import check: g^257 must generate L_2*, read off the 16-bit table
+    for wrong in (0x1234, tower._EXP16[index + 257]):  # outside L_2; a repeat
+        exp = tower._EXP16[:]
+        exp[index] = wrong
+        monkeypatch.setattr(tower, "_EXP16", exp)
+        with pytest.raises(AssertionError, match="L_2"):
+            tower._build_tables8()
+
+
+def _wide_operands(w, rng):
+    """Zero, one, a zero high half, one 16-bit piece set, and dense values."""
+    return [
+        0, 1,
+        rng.getrandbits(w // 2) | 1,
+        (rng.getrandbits(16) | 1) << (16 * rng.randrange(w // 16)),
+        0xFFFF << (w - 16),
+        rng.getrandbits(w), rng.getrandbits(w) | 1 << (w - 1),
+    ]
+
+
+def _wide_pairs(w, rng):
+    """Each operand against a dense one, in both orders, and dense pairs."""
+    values = _wide_operands(w, rng)
+    dense = values[-2:]
+    return [(x, d) for x in values for d in dense] + [(d, x) for x in values[:-2] for d in dense]
+
+
+@pytest.mark.parametrize("w", [1 << k for k in range(tower._WIDE_BITS.bit_length() - 1, 12)])
+def test_wide_products_match_recursive_oracle(w):
+    from nimtower.oracle import nim_mul_rec
+    from nimtower.tower import _mul, _mul_prepared, _prepare
+
+    for x, y in _wide_pairs(w, random.Random(w)):
+        want = nim_mul_rec(x, y)
+        assert _mul(x, y, w) == want, (w, hex(x), hex(y))
+        assert _mul_prepared(x, _prepare(y, w), w) == want, (w, hex(x), hex(y))
+
+
+@pytest.mark.parametrize("w", [4096, 8192, 16384])
+def test_wide_products_match_the_recursion_one_level_down(monkeypatch, w):
+    # the reference is a Karatsuba step of the recursive kernel over the
+    # wide path at w/2: a chain down to 2048 bits, checked against the oracle
+    from nimtower.tower import _mul, _mul_prepared, _prepare
+
+    assert w <= tower._WIDE_MAX_BITS
+    pairs = _wide_pairs(w, random.Random(w))
+    got = [(_mul(x, y, w), _mul_prepared(x, _prepare(y, w), w)) for x, y in pairs]
+    monkeypatch.setattr(tower, "_WIDE_MAX_BITS", w // 2)
+    for (x, y), (product, prepared) in zip(pairs, got):
+        want = _mul(x, y, w)
+        assert product == prepared == want, (w, hex(x), hex(y))
+
+
+def test_nothing_above_the_wide_cap_is_prepared(monkeypatch):
+    # 3^d leaves at width 8*2^d: wider products recurse down to the cap
+    w = 2 * tower._WIDE_MAX_BITS
+    widths = []
+    prepare = tower._prepare
+    monkeypatch.setattr(tower, "_prepare", lambda b, v: widths.append(v) or prepare(b, v))
+    rng = random.Random(5)
+    x, y = rng.getrandbits(w), rng.getrandbits(w)
+    assert tower._pow(x, 3, w) == tower._mul(tower._square(x, w), x, w)
+    tower._mul(x, y, w)
+    assert widths and max(widths) == tower._WIDE_MAX_BITS
+
+
+def test_a_power_runs_in_the_narrowest_field_of_its_base(monkeypatch):
+    # the multiplies of a subfield base are prepared at the subfield's width
+    widths = []
+    prepare = tower._prepare
+    monkeypatch.setattr(tower, "_prepare", lambda b, v: widths.append(v) or prepare(b, v))
+    a = random.Random(6).getrandbits(1024) | 1 << 1023
+    assert tower._pow(a, 12345, 4096) == tower._pow(a, 12345, 1024)
+    assert set(widths) == {1024}
+
+
+@pytest.mark.parametrize("w", [512, 1024])
+def test_wide_powers_match_square_and_multiply_over_the_oracle(w):
+    # multiplies by nim_mul_rec; squares by _square, which the wide path
+    # does not use.  Exponents straddle the window threshold (64 bits), in
+    # clusters of set bits, so that the windows take many digits.
+    from nimtower.oracle import nim_mul_rec
+
+    assert tower._WIDE_BITS <= w <= tower._WIDE_MAX_BITS
+    rng = random.Random(w + 1)
+    a = rng.getrandbits(w) | 1 << (w - 1)
+    for bits in (1, 2, 63, 64, 65, 328):
+        e = 1 << (bits - 1) | 1
+        for _ in range(bits // 12):
+            e |= rng.getrandbits(5) << rng.randrange(bits - 5)
+        want = 1
+        for bit in bin(e)[2:]:
+            want = tower._square(want, w)
+            if bit == "1":
+                want = nim_mul_rec(want, a)
+        assert tower._pow(a, e, w) == want, (w, bits, hex(e))
+        assert tower._pow(a, e, 2 * w) == want, (2 * w, bits, hex(e))  # in a subfield
+
+
 def test_kernels_are_safe_under_concurrency():
-    # four threads racing through the table kernels at 32..1024 bits get
-    # the serial results
+    # four threads racing through the table kernels at 32..2048 bits, and
+    # through powers on the wide path, get the serial results
     import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
     rng = random.Random(41)
     jobs = []
-    for w in (32, 64, 128, 256, 512, 1024):
+    for w in (32, 64, 128, 256, 512, 1024, 2048):
         for _ in range(6):
             x, y = rng.getrandbits(w), rng.getrandbits(w)
             jobs += [(tower._square, (x, w)), (tower._mul_top, (x, w)), (tower._mul, (x, y, w))]
+        if w >= tower._WIDE_BITS:
+            jobs += [(tower._pow, (rng.getrandbits(w), rng.getrandbits(e), w)) for e in (40, 100)]
     serial = [f(*args) for f, args in jobs]
     start = threading.Barrier(4)
 
