@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import expr, fermat, oracle, orders, tower
 from .errors import MissingFactorization, NimtowerError, ParseError
 from .report import CheckRecord, VerificationReport
+from .value import Value
 
 _IDENTITY_CAP = 8  # default ceiling for identity/membership sweeps
 _HEAVY_CAP = 11  # default ceiling for quotient-check/corollary sweeps
@@ -41,17 +41,14 @@ def _load_table(path: str | None):
 # share the order engine's step memo; the report sorts the merged records.
 
 
-@dataclass(frozen=True)
-class _Task:
+class _Task(Value):
     """One call of the `orders` suite named `suite`, and the check id of the
     FAIL record that reports it if it raises (`.error` turns `.factorization`
     for a MissingFactorization).  The suite is looked up when the task runs,
     so whatever `orders.<suite>` is bound to then is called."""
 
-    error_id: str
-    suite: str
-    args: tuple
-    kwargs: dict = field(default_factory=dict)
+    __slots__ = ("error_id", "suite", "args", "kwargs")
+    _defaults = {"kwargs": dict}
 
 
 def _run_verify_task(task: _Task) -> list[CheckRecord]:

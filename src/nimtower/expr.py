@@ -31,12 +31,12 @@ most MAX_NESTING deep; deeper input is a ParseError, not a RecursionError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import DivideByZero, ExactDivError, LevelError, ParseError
 from .fermat import fermat_number
 from .tower import MAX_LEVEL, TowerElement, _min_level_for, generator, width_of
+from .value import Value
 
 # Deepest parenthesis nesting accepted.  Each level costs the recursive
 # descent four stack frames, far below the interpreter's default limit.
@@ -58,64 +58,49 @@ MAX_POWER_WORK = width_of(12) * POWER_GROWTH ** 13
 
 
 # Element nodes.
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+class Sum(Value):
+    __slots__ = ("terms",)
 
 
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple
+class Prod(Value):
+    __slots__ = ("factors",)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: object
+class Pow(Value):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class CAtom:
-    k: int
+class CAtom(Value):
+    __slots__ = ("k",)
 
 
-@dataclass(frozen=True)
-class AAtom:
-    k: int
+class AAtom(Value):
+    __slots__ = ("k",)
 
 
-@dataclass(frozen=True)
-class BitAtom:
-    value: int
+class BitAtom(Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class HexAtom:
-    value: int
-    level: int | None
+class HexAtom(Value):
+    __slots__ = ("value", "level")  # level None: the smallest that holds value
 
 
 # Exponent nodes.
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class FermatRef:
-    j: int
+class FermatRef(Value):
+    __slots__ = ("j",)
 
 
-@dataclass(frozen=True)
-class IntMul:
-    left: object
-    right: object
+class IntMul(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class IntDiv:
-    left: object
-    right: object
+class IntDiv(Value):
+    __slots__ = ("left", "right")
 
 
 class _Parser:

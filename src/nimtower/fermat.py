@@ -19,13 +19,13 @@ one fail with MissingFactorization.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import is_
 
 from .errors import LevelError, MissingFactorization, ParseError, ValidationError
 from .report import VerificationReport
 from .tower import MAX_LEVEL
+from .value import Value
 
 # Complete prime factorizations for j = 0..11.  N_0..N_4 are themselves
 # prime; the rest are the known full factorizations of F_5..F_11.
@@ -99,12 +99,10 @@ def fermat_number(j: int) -> int:
     return (1 << (1 << j)) + 1
 
 
-@dataclass(frozen=True)
-class FermatFactorization:
+class FermatFactorization(Value):
     """Level index j plus the claimed prime factors of N_j, ascending."""
 
-    j: int
-    factors: tuple[int, ...]
+    __slots__ = ("j", "factors")
 
 
 def _entry_rules(
@@ -286,22 +284,22 @@ def validate(
     return report
 
 
-@dataclass(frozen=True)
-class FactoredOrder:
-    """A positive integer carried together with its prime factorization."""
+class FactoredOrder(Value):
+    """A positive integer carried together with its prime factorization,
+    a tuple of (prime, exponent) pairs."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
 
-    def __post_init__(self):
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
         product = 1
-        for p, e in self.factors:
+        for p, e in factors:
             product *= p**e
-        if product != self.value:
+        if product != value:
             raise ValidationError("factored value does not match its factors")
-        primes = [p for p, _ in self.factors]
+        primes = [p for p, _ in factors]
         if primes != sorted(set(primes)):
             raise ValidationError("factors must be strictly increasing primes")
+        super().__init__(value, factors)
 
     @classmethod
     def from_prime_powers(cls, pairs: dict[int, int]) -> "FactoredOrder":

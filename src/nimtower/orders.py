@@ -23,7 +23,6 @@ identity and membership suites walk the norm chain, checking each link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -48,6 +47,7 @@ from .tower import (
     pow_values,
     width_of,
 )
+from .value import Value
 
 # Descent steps kept by _y_step, least recently used dropped first: enough
 # for every distinct step of a verify sweep or a query-mix pass.
@@ -189,14 +189,11 @@ def minimal_subfield_exponent(
     return _down_step(generator("c", j, j).value, entry)[1]
 
 
-@dataclass(frozen=True)
-class AlphaChain:
+class AlphaChain(Value):
     """Minimal-exponent chain [α_i, ..., α_1] for c_i (or a_i), each α_m
     checked to be N_m, whose product is the element's order."""
 
-    i: int
-    base: str
-    alphas: tuple[int, ...]
+    __slots__ = ("i", "base", "alphas")
 
     @property
     def product(self) -> int:

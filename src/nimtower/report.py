@@ -2,23 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    check_id: str
-    ok: bool
-    detail: str
+class CheckRecord(Value):
+    __slots__ = ("check_id", "ok", "detail")
 
     def line(self) -> str:
         status = "OK" if self.ok else "FAIL"
         return f"{status} {self.check_id} {self.detail}"
 
 
-@dataclass
-class VerificationReport:
-    records: list[CheckRecord] = field(default_factory=list)
+class VerificationReport(Value):
+    """A mutable, unhashable list of check records."""
+
+    __slots__ = ("records",)
+    _defaults = {"records": list}
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
     def add(self, check_id: str, ok: bool, detail: str = "") -> None:
         self.records.append(CheckRecord(check_id, bool(ok), detail))

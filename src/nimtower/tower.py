@@ -69,7 +69,6 @@ import random
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 from operator import getitem, itemgetter, xor
@@ -82,6 +81,7 @@ from .errors import (
     ZeroInverse,
     ZeroToZero,
 )
+from .value import Value
 
 # Width of the log/antilog field.  Fixed: the table builder and the
 # straight-line width-32/64 products split values into 16-bit pieces.
@@ -558,18 +558,20 @@ def _min_level_for(value: int) -> int:
     return level
 
 
-@dataclass(frozen=True, slots=True)
-class TowerElement:
+class TowerElement(Value):
     """Immutable element of the level-`level` field."""
 
-    level: int
-    value: int
+    __slots__ = ("level", "value")
 
-    def __post_init__(self):
-        if self.value < 0 or self.value >> width_of(self.level):
-            raise NotInField(
-                f"value {self.value:#x} does not fit in level {self.level}"
-            )
+    def __init__(self, level: int, value: int):
+        # Built once per field operation: width_of's check inlined, and the
+        # fields set through the slot descriptors, bypassing __setattr__.
+        if not -1 <= level <= MAX_LEVEL:
+            raise LevelError(f"level must lie in -1..{MAX_LEVEL}, got {level}")
+        if value < 0 or value >> (1 << (level + 1)):
+            raise NotInField(f"value {value:#x} does not fit in level {level}")
+        _set_level(self, level)
+        _set_value(self, value)
 
     # -- structure ---------------------------------------------------------
 
@@ -649,6 +651,9 @@ class TowerElement:
         return TowerElement(self.level, _pow(self.value, e, self.width))
 
     __pow__ = pow
+
+
+_set_level, _set_value = TowerElement._setters
 
 
 # ---------------------------------------------------------------------------

@@ -392,3 +392,28 @@ def test_core_library_does_not_import_numpy():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     assert out.stdout == "False\n"
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_numpy():
+    # The value classes are plain slotted classes, so a fresh CLI run loads
+    # none of the stdlib's code-generation and introspection modules.
+    import os
+    import subprocess
+    import sys
+
+    import nimtower
+
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import nimtower, nimtower.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert nimtower.cli.main(['verify', 'all', '--max-level', '4']) == 1",
+        "print(sorted({'dataclasses', 'inspect', 'numpy'} & sys.modules.keys()))",
+    ])
+    src = str(Path(nimtower.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n"
