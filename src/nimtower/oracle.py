@@ -54,9 +54,8 @@ def _build_mex_table() -> np.ndarray:
         row_a = t[a]
         for b in range(1, a + 1):
             opts = t[:a, b, None] ^ row_a[None, :b] ^ t[:a, :b]
-            seen = np.zeros(a * b + 1, dtype=bool)
-            seen[opts.ravel()] = True
-            mex = int(np.argmin(seen))
+            # options are below n, so count n is 0 and argmin finds the first absent value
+            mex = int(np.argmin(np.bincount(opts.ravel(), minlength=n + 1)))
             row_a[b] = mex
             t[b, a] = mex
     return t

@@ -45,19 +45,21 @@ all leaf products in L_2 at once with bytes.translate through 8-bit log and
 antilog tables (read off the 16-bit ones at import: g^257 generates L_2*)
 and one big-int add, and joins each triple (P1, P2, P3) on the way up as
 high P3+P2, low P1+P2, with no top-multiply anywhere.  _mul prepares its
-second factor; _pow prepares its base or window powers once and reuses them,
-which is where the path pays: in a chain x <- x*b at 1024 bits a prepared
-multiply took 0.09-0.14 ms, the recursion 0.50-0.57 ms (shared 2-vCPU
-machine).  Below 512 bits preparing costs more than it saves; above 16384
-the leaves would take megabytes, so _mul recurses down to it.
+second factor; _pow prepares a^2 and its window powers once and reuses
+them, which is where the path pays: in a chain x <- x*b at 1024 bits a
+prepared multiply took 0.09-0.14 ms, the recursion 0.50-0.57 ms (shared
+2-vCPU machine).  Below 512 bits preparing costs more than it saves;
+above 16384 the leaves would take megabytes, so _mul recurses down to it.
 
 Every square and top-multiply of width 32 and up, and every product of
 width 32 or of 128 and up, passes through the one line of _mul_top that
 returns A at width 16: the slice tables are built through it, the width-32
 product applies A by calling it, and _prepare top-multiplies blocks of 128
 bits and up with _mul_top.  perfbench's corruption self-test edits that
-line and expects every workload to notice.  Each kernel tests the table
-widths first, so calls at levels <= 3 dispatch at once.
+line and expects every workload to notice.  Powers in L_3 and below read
+only the log tables, so they never pass that line; an exhaustive test of
+the L_2 powers against the nimber oracle guards them instead.  Each kernel
+tests the table widths first, so calls at levels <= 3 dispatch at once.
 
 Levels run from -1 to MAX_LEVEL; width_of, generator and TowerElement
 refuse any other level before allocating anything of its size.
@@ -449,19 +451,15 @@ def _inv(a: int, w: int) -> int:
     return (_mul(ah, ninv, half) << half) ^ _mul(ah ^ al, ninv, half)
 
 
-# Exponent size above which _pow uses sliding windows, and their width in
-# bits (odd powers a^1 .. a^(2^k - 1)); both chosen by measurement.
-_POW_WINDOW_THRESHOLD = 64
-_POW_WINDOW_BITS = 4
-
-
 def _unprepared(b: int, w: int) -> int:
     return b
 
 
 def _pow(a: int, e: int, w: int) -> int:
-    """Left-to-right square-and-multiply (sliding windows over odd powers
-    for long exponents), each fixed factor prepared once at wide widths.
+    """a^e: one log-table read for a base of 16 bits or fewer, else
+    left-to-right sliding windows of k bits over the odd powers a^1 ..
+    a^(2^k - 1), each fixed factor prepared once at wide widths; k = 1 is
+    plain square-and-multiply, with no a^2 entry.
 
     A nonzero base in the width-w field has an order dividing 2^w - 1, so e
     is reduced modulo it first, at the narrowest such w; 0^e is 0 for e > 0."""
@@ -469,47 +467,47 @@ def _pow(a: int, e: int, w: int) -> int:
         return 0 if e else 1
     while w > 16 and a >> (w >> 1) == 0:
         w >>= 1  # the powers of a stay in the half-width field
+    if w <= 16:
+        return _EXP16[_LOG16[a] * (e % 65535) % 65535]
     e %= (1 << w) - 1
-    if e == 0 or a == 1:
+    if e == 0:
         return 1
     if _WIDE_BITS <= w <= _WIDE_MAX_BITS:
         prepare, times = _prepare, _mul_prepared
     else:
         prepare, times = _unprepared, _mul
+    # k by the exponent's length, the cut points measured at 32 to 1024 bits:
+    # below 10 bits a^2 and a^3 cost more than the multiplies they save.
     bits = e.bit_length()
-    if bits <= _POW_WINDOW_THRESHOLD:
-        base = prepare(a, w)
-        r = a
-        for i in range(bits - 2, -1, -1):
-            r = _square(r, w)
-            if (e >> i) & 1:
-                r = times(r, base, w)
-        return r
-    k = _POW_WINDOW_BITS
+    k = 1 if bits < 10 else 2 if bits < 24 else 3 if bits < 80 else 4
     # Cut e into windows, low end first: each starts at a 1-bit and spans
-    # k bits, so e is the sum of digit * 2^shift over odd digits.
+    # k bits, so its digit is odd.  A window is kept as (digit >> 1, its
+    # distance from the window above): a^digit is odd[digit >> 1], and the
+    # distance is the number of squares before its multiply.
+    mask = (1 << k) - 1
+    last = (e & -e).bit_length() - 1  # squares after the lowest window
+    e >>= last
     windows = []
-    shift = 0
+    digit = (e & mask) >> 1
+    e >>= k
     while e:
         zeros = (e & -e).bit_length() - 1
         e >>= zeros
-        shift += zeros
-        windows.append((e & ((1 << k) - 1), shift))
+        windows.append((digit, k + zeros))
+        digit = (e & mask) >> 1
         e >>= k
-        shift += k
-    square_a = prepare(_square(a, w), w)
     odd = [a]
-    for _ in range((1 << (k - 1)) - 1):
-        odd.append(times(odd[-1], square_a, w))
-    digit, shift = windows.pop()
-    r = odd[digit >> 1]
-    factors = {d: prepare(odd[d >> 1], w) for d in {d for d, _ in windows}}
-    for digit, low in reversed(windows):
-        for _ in range(shift - low):
+    if k > 1:
+        square_a = prepare(_square(a, w), w)
+        for _ in range((1 << (k - 1)) - 1):
+            odd.append(times(odd[-1], square_a, w))
+    r = odd[digit]
+    factors = [prepare(x, w) for x in odd] if windows else odd
+    for digit, squares in reversed(windows):
+        for _ in range(squares):
             r = _square(r, w)
         r = times(r, factors[digit], w)
-        shift = low
-    for _ in range(shift):
+    for _ in range(last):
         r = _square(r, w)
     return r
 
@@ -639,7 +637,7 @@ class TowerElement(Value):
         return TowerElement(self.level, _inv(self.value, self.width))
 
     def pow(self, e: int) -> "TowerElement":
-        """Left-to-right square-and-multiply; 0**0 is an error."""
+        """self^e by _pow (log tables or sliding windows); 0**0 is an error."""
         if e < 0:
             raise ValueError("exponent must be a natural number")
         if self.value == 0:

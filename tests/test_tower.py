@@ -361,14 +361,14 @@ def test_a_power_runs_in_the_narrowest_field_of_its_base(monkeypatch):
 @pytest.mark.parametrize("w", [512, 1024])
 def test_wide_powers_match_square_and_multiply_over_the_oracle(w):
     # multiplies by nim_mul_rec; squares by _square, which the wide path
-    # does not use.  Exponents straddle the window threshold (64 bits), in
-    # clusters of set bits, so that the windows take many digits.
+    # does not use.  Exponents reach each window width (k = 1 below 10 bits,
+    # 4 from 80), in clusters of set bits, so that the windows take many digits.
     from nimtower.oracle import nim_mul_rec
 
     assert tower._WIDE_BITS <= w <= tower._WIDE_MAX_BITS
     rng = random.Random(w + 1)
     a = rng.getrandbits(w) | 1 << (w - 1)
-    for bits in (1, 2, 63, 64, 65, 328):
+    for bits in (1, 2, 9, 23, 79, 80, 328):
         e = 1 << (bits - 1) | 1
         for _ in range(bits // 12):
             e |= rng.getrandbits(5) << rng.randrange(bits - 5)
@@ -538,6 +538,50 @@ def test_pow_examples():
         elem(0, 3).pow(0)
 
 
+def _oracle_pow(a, e):
+    """Left-to-right square-and-multiply over nim_mul_rec, unreduced."""
+    from nimtower.oracle import nim_mul_rec
+
+    r = 1
+    for bit in bin(e)[2:]:
+        r = nim_mul_rec(r, r)
+        if bit == "1":
+            r = nim_mul_rec(r, a)
+    return r
+
+
+def test_every_l2_power_matches_square_and_multiply_over_the_oracle():
+    # powers in L_3 and below are log-table reads, which the corrupted-kernel
+    # self-test does not reach: every base of L_2, exponents 0..600 and k*255 + r
+    exponents = list(range(601)) + [k * 255 + r for k in (3, 1000, 1 << 70) for r in (0, 1, 2, 254)]
+    for a in range(256):
+        x = elem(a, 2)
+        for e in exponents:
+            want = _oracle_pow(a, e)
+            assert tower._pow(a, e, 8) == want, (a, e)
+            if a or e:
+                assert x.pow(e).value == want, (a, e)
+    with pytest.raises(ZeroToZero):
+        elem(0, 2).pow(0)
+
+
+def test_l3_powers_match_square_and_multiply_over_the_oracle():
+    n21 = fermat.fermat_number(21)
+    rng = random.Random(18)
+    bases = [0, 1, 0x100, 0x200, 0xFFFF] + [rng.randrange(2, 1 << 16) for _ in range(40)]
+    for a in bases:
+        x = elem(a, 3)
+        for e in (0, 1, 65534, 65535, 65536, n21):
+            # a nonzero base has order dividing 65535; the added 65535 keeps 0^e at 0
+            want = _oracle_pow(a, e if e <= 65536 else e % 65535 + 65535)
+            for w in (16, 32, 128):
+                assert tower._pow(a, e, w) == want, (hex(a), e, w)
+            if a or e:
+                assert x.pow(e).value == want, (hex(a), e)
+    with pytest.raises(ZeroToZero):
+        elem(0, 3).pow(0)
+
+
 def test_pow_matches_repeated_mul():
     rng = random.Random(41)
     for level in (0, 2, 4):
@@ -559,30 +603,55 @@ def _pow_plain(a, e, w):
     return r
 
 
-def test_pow_sliding_windows_match_plain():
-    threshold, k = tower._POW_WINDOW_THRESHOLD, tower._POW_WINDOW_BITS
-    rng = random.Random(44)
-    exponents = [
-        (1 << threshold) - 1,  # at the threshold: plain path
-        1 << threshold,  # one bit above it
-        (1 << threshold) + 1,
-        (1 << 200) - 1,
-        (1 << 200) + 1,
-        (rng.getrandbits(150) << k) | 1,  # a window ending at bit 0
-        (rng.getrandbits(150) | 1) << (k + 3),  # trailing zeros after the last window
-        # zero runs one bit longer and one bit shorter than a window
-        int("1" + "0" * (k + 1) + "1" * (3 * k) + "0" * (k - 1) + "1" * 70, 2),
+# Window width k of _pow by the exponent's length: from each cut point on.
+WINDOW_CUTS = {1: 1, 10: 2, 24: 3, 80: 4}
+
+
+def _window_bits(bits):
+    return max(k for cut, k in WINDOW_CUTS.items() if bits >= cut)
+
+
+def _window_exponents(bits, rng):
+    """Exponents of `bits` bits, cut into windows of the width the rule picks
+    for them: a window ending at bit 0, trailing zeros after the last window,
+    and zero runs one bit longer and one bit shorter than a window."""
+    k = _window_bits(bits)
+    top = 1 << (bits - 1)
+    runs = "1" + "0" * (k + 1) + "1" * k + "0" * (k - 1) + "1"
+    return [
+        rng.getrandbits(bits) | top | 1,
+        (rng.getrandbits(bits - k - 3) | top >> (k + 3) | 1) << (k + 3),
+        int(runs + "1" * (bits - len(runs)), 2),
     ]
-    for level in (1, 3, 4, 6, 8):
+
+
+def test_pow_sliding_windows_match_plain(monkeypatch):
+    # exponents one bit either side of each cut point, at every level where
+    # they are not reduced; the width k shows in the fixed factors a power
+    # prepares: a^2 when k > 1, and the 2^(k-1) odd powers a .. a^(2^k - 1)
+    rng = random.Random(44)
+    prepared = []
+    for name in ("_prepare", "_unprepared"):
+        kernel = getattr(tower, name)
+        monkeypatch.setattr(tower, name, lambda b, w, f=kernel: prepared.append(w) or f(b, w))
+    for level in (4, 5, 6, 7, 8):
         w = tower.width_of(level)
         order = (1 << w) - 1
-        for a in (1, 2, rng.getrandbits(w) | 1, rng.getrandbits(w) | 2):
-            for e in exponents + [order, order + 1, 2 * order + 77, (1 << 300) + 5]:
-                assert tower._pow(a, e, w) == _pow_plain(a, e, w), (level, a, e)
+        for a in (rng.getrandbits(w) | 1 << (w - 1), 1 << (w - 1) | 1):
+            for bits in [b for cut in WINDOW_CUTS for b in (cut - 1, cut, cut + 1) if 9 <= b < w]:
+                k = _window_bits(bits)
+                for e in _window_exponents(bits, rng):
+                    prepared.clear()
+                    got = tower._pow(a, e, w)
+                    assert prepared == [w] * ((k > 1) + (1 << (k - 1))), (level, bits, k)
+                    assert got == _pow_plain(a, e, w), (level, hex(a), bits, hex(e))
+            for e in (order, order + 1, 2 * order + 77, (1 << 200) - 1, (1 << 200) + 1,
+                      (1 << 300) + 5):
+                assert tower._pow(a, e, w) == _pow_plain(a, e, w), (level, hex(a), hex(e))
 
 
 def test_pow_windowed_path_matches_plain():
-    # exponents above the window threshold take the sliding-window path
+    # a 200-bit exponent (4-bit windows) against two powers of its halves
     rng = random.Random(43)
     for level in (3, 5, 7):
         one = generator("one", 0, level)
