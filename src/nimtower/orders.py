@@ -63,8 +63,8 @@ def _cofactor_powers(v: int, w: int, blocks: list[int]) -> list[int]:
     """[v^(B/b) for b in blocks], B = prod(blocks), via a product tree
     split where the bits balance, since each tree level costs about the bit
     length of B: the 1872-bit prime of N_11 sits at depth 1."""
-    if len(blocks) == 1:
-        return [v]
+    if len(blocks) < 2:
+        return [v] * len(blocks)
     bits = [b.bit_length() for b in blocks]
     mid = 1
     while mid < len(blocks) - 1 and 2 * sum(bits[: mid + 1]) <= sum(bits):
@@ -82,7 +82,7 @@ def _level_step(
     v*conj(v) = v^(N_level), which lies one level down, and the _y_step
     multiplicities of y = conj(v)/v for prime powers `factors` of N_level."""
     y, norm = norm_split_values(v, width_of(level))
-    return norm, (() if y == 1 else _y_step(y, level, tuple(sorted(factors))))
+    return norm, _y_step(y, level, tuple(sorted(factors)))
 
 
 @lru_cache(maxsize=_STEP_CACHE_SIZE)

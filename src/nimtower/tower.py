@@ -32,9 +32,8 @@ slice k holds the images of the 256 values of byte k, and a value maps to
 the XOR of one entry per byte; _build_slices makes them at import from the
 half width's, and above 256 bits both kernels recurse down to the tables.
 No table changes after import, so the kernels need no lock.  _mul is
-straight-line code at 32 bits (three 16-bit log products and one A) and at
-64 bits (two Karatsuba levels: nine log products, A read from its table),
-and recurses at 128 and 256 bits.
+straight-line code at 64 bits (two Karatsuba levels: nine log products, A
+read from its table), and a Karatsuba step at 32, 128 and 256 bits.
 
 From _WIDE_BITS = 512 to _WIDE_MAX_BITS = 16384 bits, products take one
 wide path, which folds the top-multiply into a fixed factor.  In x*y the
@@ -52,11 +51,12 @@ prepared multiply took 0.09-0.14 ms, the recursion 0.50-0.57 ms (shared
 above 16384 the leaves would take megabytes, so _mul recurses down to it.
 
 Every square and top-multiply of width 32 and up, and every product of
-width 32 or of 128 and up, passes through the one line of _mul_top that
-returns A at width 16: the slice tables are built through it, the width-32
-product applies A by calling it, and _prepare top-multiplies blocks of 128
-bits and up with _mul_top.  perfbench's corruption self-test edits that
-line and expects every workload to notice.  Powers in L_3 and below read
+width 32 or of 128 and up whose factors both reach above the half width,
+passes through the one line of _mul_top that returns A at width 16: the
+slice tables are built through it, the 32-bit Karatsuba step calls it on
+its high product, and _prepare top-multiplies blocks of 128 bits and up
+with _mul_top.  perfbench's corruption self-test edits that line and
+expects every workload to notice.  Powers in L_3 and below read
 only the log tables, so they never pass that line; an exhaustive test of
 the L_2 powers against the nimber oracle guards them instead.  Each kernel
 tests the table widths first, so calls at levels <= 3 dispatch at once.
@@ -86,7 +86,7 @@ from .errors import (
 from .value import Value
 
 # Width of the log/antilog field.  Fixed: the table builder and the
-# straight-line width-32/64 products split values into 16-bit pieces.
+# straight-line width-64 product split values into 16-bit pieces.
 LOG_TABLE_BITS = 16
 # Highest level accepted anywhere: widths, generators, elements, and (via
 # fermat.fermat_number) the Fermat numbers N_j, j <= MAX_LEVEL + 1, that
@@ -205,21 +205,11 @@ def leaf_order(v: int) -> int:
 def _mul(a: int, b: int, w: int) -> int:
     if w <= 16:
         return _EXP16[_LOG16[a] + _LOG16[b]] if a and b else 0
-    if w == 32:
-        exp, log = _EXP16, _LOG16
-        ah, al = a >> 16, a & 0xFFFF
-        bh, bl = b >> 16, b & 0xFFFF
-        hh = exp[log[ah] + log[bh]] if ah and bh else 0
-        ll = exp[log[al] + log[bl]] if al and bl else 0
-        sa, sb = ah ^ al, bh ^ bl
-        mid = exp[log[sa] + log[sb]] if sa and sb else 0
-        # A through the width-16 branch, not t[hh]: see the module docstring.
-        return ((mid ^ ll) << 16) ^ _mul_top(hh, 16) ^ ll
     if w == 64:
         # The width-32 products hi = (h1, h0), lo = (l1, l0) and
-        # mid + lo = (m1, m0) of the halves, each as in the width-32 branch
-        # with A = t; then (mid + lo)*2^32 + hi*a_4 + lo, where hi*a_4 is
-        # (A(h1 + h0), A(A(h1))) by the top-multiply split.
+        # mid + lo = (m1, m0) of the halves, each a Karatsuba step of three
+        # log products with A = t; then (mid + lo)*2^32 + hi*a_4 + lo, where
+        # hi*a_4 is (A(h1 + h0), A(A(h1))) by the top-multiply split.
         exp, log, t = _EXP16, _LOG16, _MUL_TOP16
         a3, a2, a1, a0 = a >> 48, (a >> 32) & 0xFFFF, (a >> 16) & 0xFFFF, a & 0xFFFF
         b3, b2, b1, b0 = b >> 48, (b >> 32) & 0xFFFF, (b >> 16) & 0xFFFF, b & 0xFFFF
@@ -246,8 +236,6 @@ def _mul(a: int, b: int, w: int) -> int:
     mask = (1 << half) - 1
     ah, al = a >> half, a & mask
     bh, bl = b >> half, b & mask
-    if ah | bh == 0:
-        return _mul(al, bl, half)
     if ah == 0 or bh == 0:  # one factor s in the half-width field: s*(th*c + tl)
         s, th = (al, bh) if ah == 0 else (bl, ah)
         return (_mul(s, th, half) << half) ^ _mul(al, bl, half)
@@ -272,8 +260,6 @@ def _mul_top(x: int, w: int) -> int:
 
 
 def _mul_top_split(x: int, w: int) -> int:
-    if x == 0:
-        return 0
     half = w >> 1
     xh = x >> half
     xl = x & ((1 << half) - 1)
@@ -432,8 +418,8 @@ def _mul_prepared(a: int, prepared: tuple[int, int], w: int) -> int:
     return int.from_bytes(_reverse(data), "little")
 
 
-def _norm(a: int, w: int) -> int:
-    """a*conj(a) = a^(2^(w/2)+1), which lies in the half-width subfield."""
+def norm_value(a: int, w: int) -> int:
+    """The norm a*conj(a) = a^(2^(w/2)+1), a half-width value."""
     half = w >> 1
     ah, al = a >> half, a & ((1 << half) - 1)
     return _mul_top(_square(ah, half), half) ^ _mul(ah, al, half) ^ _square(al, half)
@@ -445,9 +431,7 @@ def _inv(a: int, w: int) -> int:
     half = w >> 1
     ah = a >> half
     al = a & ((1 << half) - 1)
-    if ah == 0:
-        return _inv(al, half)
-    ninv = _inv(_norm(a, w), half)
+    ninv = _inv(norm_value(a, w), half)
     return (_mul(ah, ninv, half) << half) ^ _mul(ah ^ al, ninv, half)
 
 
@@ -526,19 +510,12 @@ def pow_values(a: int, e: int, width: int) -> int:
     return _pow(a, e, max(width, 1))
 
 
-def norm_value(a: int, width: int) -> int:
-    """The norm a*conj(a) = a^(2^(w/2)+1), a half-width value."""
-    return _norm(a, width)
-
-
 def norm_split_values(a: int, width: int) -> tuple[int, int]:
     """(conj(a)/a, a*conj(a)) for nonzero a: a^(2^(w/2)-1), whose order
     divides 2^(w/2)+1, and the norm a^(2^(w/2)+1), a half-width value.
     conj(a)/a is computed as conj(a)^2/norm, so only the norm is inverted."""
     half = width >> 1
-    if a >> half == 0:
-        return 1, _square(a, half)
-    norm = _norm(a, width)
+    norm = norm_value(a, width)
     return _mul(_square(a ^ (a >> half), width), _inv(norm, half), width), norm
 
 
@@ -640,12 +617,8 @@ class TowerElement(Value):
         """self^e by _pow (log tables or sliding windows); 0**0 is an error."""
         if e < 0:
             raise ValueError("exponent must be a natural number")
-        if self.value == 0:
-            if e == 0:
-                raise ZeroToZero("0**0 is undefined")
-            return self
-        if e == 0:
-            return TowerElement(self.level, 1)
+        if self.value == 0 and e == 0:
+            raise ZeroToZero("0**0 is undefined")
         return TowerElement(self.level, _pow(self.value, e, self.width))
 
     __pow__ = pow

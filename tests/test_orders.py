@@ -476,6 +476,25 @@ def test_level_step_finds_exponents_below_n(table):
             assert norm == pow_values(v, fermat_number(level), w)
 
 
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_orders_of_lifted_elements(table, level):
+    # above x's own level each descent step has y = conj(x)/x = 1, which
+    # _y_step answers with multiplicity 0 for every prime; under x's own
+    # order no prime divides N_k for k above its level, so those steps get
+    # no prime at all
+    orders._y_step.cache_clear()
+    elements = [generator("c", level, level), generator("a", level, level)]
+    elements += [tower.random_element(level, 4000 + seed) for seed in range(2)]
+    for x in elements:
+        own = multiplicative_order(x, group_order(level, table))
+        for k in range(level + 1, 10):
+            lifted = x.lift(k)
+            assert multiplicative_order(lifted, group_order(k, table)) == own, (x, k)
+            assert multiplicative_order(lifted, own) == own, (x, k)
+            square = tower.square_value(x.value, width_of(k - 1))
+            assert orders._down_step(lifted.value, fermat.factorization(table, k)) == (square, 1)
+
+
 def test_identities_and_membership_beyond_the_factor_table():
     # no factor table is needed: the norm chain reaches level 12 (8192 bits)
     report = verify_identities(12)

@@ -520,6 +520,52 @@ def test_norm_closure_in_inverse_recursion():
             assert norm >> half == 0  # lands one level down
 
 
+# -- subfield inputs ---------------------------------------------------------
+# A value whose high half is zero runs the same formulas as any other: the
+# kernels keep no shortcut for it.
+
+
+def _subfield_values(w):
+    """1, the half field's top monomial 2^(w/2-1), and seeded nonzero values
+    of the half- and quarter-width subfields of the width-w field."""
+    rng = random.Random(w)
+    half = [rng.getrandbits(w >> 1) or 1 for _ in range(3)]
+    quarter = [rng.getrandbits(w >> 2) or 1 for _ in range(2)]
+    return [1, 1 << ((w >> 1) - 1)] + half + quarter
+
+
+SUBFIELD_WIDTHS = [32, 64, 128, 256, 512, 1024, 2048, 4096]
+
+
+@pytest.mark.parametrize("w", SUBFIELD_WIDTHS)
+def test_inverse_and_norm_split_of_subfield_values(w):
+    # the inverse is al*(al^2)^-1, and conj(a)/a = 1 with norm a^2
+    from nimtower.tower import _inv, _mul, _square
+
+    half = w >> 1
+    for a in _subfield_values(w):
+        inverse = _inv(a, w)
+        assert inverse == _inv(a, half), (w, hex(a))
+        assert _mul(a, inverse, w) == 1, (w, hex(a))
+        assert tower.norm_split_values(a, w) == (1, _square(a, half)), (w, hex(a))
+
+
+@pytest.mark.parametrize("w", SUBFIELD_WIDTHS)
+def test_products_of_subfield_values_stay_in_the_half_field(w):
+    # both high halves zero: the one-half branch with a zero cross term
+    from nimtower.tower import _mul
+
+    values = _subfield_values(w)
+    for a in values:
+        for b in values:
+            assert _mul(a, b, w) == _mul(a, b, w >> 1), (w, hex(a), hex(b))
+
+
+def test_top_multiply_of_zero_above_the_slice_tables():
+    for w in (512, 1024, 2048, 4096):
+        assert tower._mul_top(0, w) == 0, w
+
+
 # -- pow ---------------------------------------------------------------------
 
 
@@ -693,6 +739,22 @@ def test_pow_of_zero_is_not_reduced():
             assert elem(0, level).pow(e).value == 0
             assert tower.pow_values(0, e, w) == 0
         assert tower.pow_values(0, 0, w) == 1
+
+
+def test_zeroth_powers_and_powers_of_zero_at_every_width():
+    # TowerElement.pow leaves both to _pow, which narrows x to its own field
+    for level in range(-1, 10):
+        zero, one = tower.zero(level), tower.one(level)
+        elements = seeded(level, 3, 59) + [one]
+        if level >= 0:
+            elements.append(generator("c", 0, level))
+        for x in elements:
+            if x.value:
+                assert x.pow(0) == one, (level, x)
+        for e in (1, 2, 3, (1 << tower.width_of(level)) - 1, 1 << 70):
+            assert zero.pow(e) == zero, (level, e)
+        with pytest.raises(ZeroToZero):
+            zero.pow(0)
 
 
 def test_lagrange_small_levels():
