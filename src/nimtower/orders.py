@@ -9,7 +9,12 @@ level down at half width, down to L_3, whose log table gives the rest.
 Elements that differ by a factor from one level down share y, as c_i, a_i,
 c_i*c_0, a_i*a_0 and thm5 do at level i, so one bounded memo keeps the
 part of a step that depends only on y (for orders, steps at levels >= 4)
-and certifies each y once: norm(y) = y^(N_j) must be 1.
+and certifies each y once: norm(y) = y^(N_j) must be 1.  As 3 divides
+no N_j, y^3 generates the same subgroup as y, so the memo files each
+answer for y^3 too: below level i, a_i's descent asks about y^3, y^9,
+... of the y that c_i's asked about, and reuses its steps.  A step's
+cofactor powers come from a product tree, each node raising one base to
+two exponents from one table of its odd powers.
 
 Every subfield question is answered by the same two facts.  conj fixes
 exactly L_(j-1), so x^d lies one level down exactly when (conj(x)/x)^d = 1:
@@ -23,8 +28,9 @@ identity and membership suites walk the norm chain, checking each link.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict
 from math import prod
+from types import SimpleNamespace
 
 from .errors import ArithmeticFault, LevelError, NotAnExponent, ZeroElement
 from .fermat import (
@@ -45,12 +51,15 @@ from .tower import (
     norm_split_values,
     norm_value,
     pow_values,
+    powers_values,
+    square_value,
     width_of,
 )
 from .value import Value
 
-# Descent steps kept by _y_step, least recently used dropped first: enough
-# for every distinct step of a verify sweep or a query-mix pass.
+# Descent steps kept by _y_step, filed cubes included, least recently used
+# dropped first: enough for every distinct step of a verify sweep or a
+# query-mix pass.
 _STEP_CACHE_SIZE = 1024
 _NOT_AN_EXPONENT = "x^n != 1 for the claimed group order; wrong factor table or level"
 
@@ -62,7 +71,8 @@ def _table_or_builtin(table):
 def _cofactor_powers(v: int, w: int, blocks: list[int]) -> list[int]:
     """[v^(B/b) for b in blocks], B = prod(blocks), via a product tree
     split where the bits balance, since each tree level costs about the bit
-    length of B: the 1872-bit prime of N_11 sits at depth 1."""
+    length of B: the 1872-bit prime of N_11 sits at depth 1.  Both powers
+    of v at a node share one table of v's odd powers."""
     if len(blocks) < 2:
         return [v] * len(blocks)
     bits = [b.bit_length() for b in blocks]
@@ -70,9 +80,8 @@ def _cofactor_powers(v: int, w: int, blocks: list[int]) -> list[int]:
     while mid < len(blocks) - 1 and 2 * sum(bits[: mid + 1]) <= sum(bits):
         mid += 1
     left, right = blocks[:mid], blocks[mid:]
-    return _cofactor_powers(pow_values(v, prod(right), w), w, left) + _cofactor_powers(
-        pow_values(v, prod(left), w), w, right
-    )
+    to_left, to_right = powers_values(v, (prod(right), prod(left)), w)
+    return _cofactor_powers(to_left, w, left) + _cofactor_powers(to_right, w, right)
 
 
 def _level_step(
@@ -85,8 +94,75 @@ def _level_step(
     return norm, _y_step(y, level, tuple(sorted(factors)))
 
 
-@lru_cache(maxsize=_STEP_CACHE_SIZE)
+# The step memo: (y, level, factors) -> [answer, whether its cube is
+# still to be filed], least recently used first, and its hits and misses.
+# It takes no lock: each OrderedDict call is atomic, two threads that race
+# compute or file the same answer, and only the counters may miss a count.
+_STEPS: OrderedDict = OrderedDict()
+_STEP_COUNTS = [0, 0]
+
+
 def _y_step(
+    y: int, level: int, factors: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    """_step_multiplicities behind a bounded memo, least recently used
+    dropped first, filed entries included.
+
+    On its first use an entry also files its answer under (y^3, level,
+    factors), y^3 being one square and one multiply.  Lemma 5 makes that
+    the next question: a_i^(N_i) = a_(i-1)^(N_i+1), and N_i + 1 is 3
+    modulo N_(i-1), so below its top level a_i's descent asks about y^3,
+    y^9, ... where c_i's asked about y.  The answer carries over exactly
+    when 3 is none of the step's primes: y^g = 1 gives (y^3)^g = 1, each
+    cofactor power is cubed, and cubing keeps an order prime to 3.  The
+    certificate carries over too, as norm(y^3) = norm(y)^3 = 1, so every
+    y the memo answers has norm 1.  Each N_j (j >= 1) is 2 modulo 3, so
+    no step of the descent has the prime 3; the guard is for direct calls.
+    """
+    key = (y, level, factors)
+    entry = _STEPS.get(key)
+    if entry is None:
+        _STEP_COUNTS[1] += 1
+        entry = [_step_multiplicities(y, level, factors), 3 not in dict(factors)]
+        _file_step(key, entry)
+    else:
+        _STEP_COUNTS[0] += 1
+        try:
+            _STEPS.move_to_end(key)
+        except KeyError:  # dropped by another thread since the read
+            pass
+    if entry[1]:
+        entry[1] = False
+        w = width_of(level)
+        cube = (mul_values(square_value(y, w), y, w), level, factors)
+        if cube not in _STEPS:
+            _file_step(cube, [entry[0], True])
+    return entry[0]
+
+
+def _file_step(key: tuple, entry: list) -> None:
+    _STEPS[key] = entry
+    if len(_STEPS) > _STEP_CACHE_SIZE:
+        _STEPS.popitem(last=False)
+
+
+def _step_cache_info() -> SimpleNamespace:
+    """The counters functools.lru_cache reports: a miss is a step computed."""
+    hits, misses = _STEP_COUNTS
+    return SimpleNamespace(
+        hits=hits, misses=misses, maxsize=_STEP_CACHE_SIZE, currsize=len(_STEPS)
+    )
+
+
+def _step_cache_clear() -> None:
+    _STEPS.clear()
+    _STEP_COUNTS[:] = [0, 0]
+
+
+_y_step.cache_info, _y_step.cache_clear = _step_cache_info, _step_cache_clear
+
+
+def _step_multiplicities(
     y: int, level: int, factors: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, int], ...]:
     """(p, a) for each prime power (p, e) of `factors`, with product g, a

@@ -44,10 +44,10 @@ all leaf products in L_2 at once with bytes.translate through 8-bit log and
 antilog tables (read off the 16-bit ones at import: g^257 generates L_2*)
 and one big-int add, and joins each triple (P1, P2, P3) on the way up as
 high P3+P2, low P1+P2, with no top-multiply anywhere.  _mul prepares its
-second factor; _pow prepares a^2 and its window powers once and reuses
-them, which is where the path pays: in a chain x <- x*b at 1024 bits a
-prepared multiply took 0.09-0.14 ms, the recursion 0.50-0.57 ms (shared
-2-vCPU machine).  Below 512 bits preparing costs more than it saves;
+second factor; _powers prepares a^2 and its window powers once and reuses
+them for each exponent it is given, which is where the path pays: in a
+chain x <- x*b at 1024 bits a prepared multiply took 0.09-0.14 ms, the
+recursion 0.50-0.57 ms (shared 2-vCPU machine).  Below 512 bits preparing costs more than it saves;
 above 16384 the leaves would take megabytes, so _mul recurses down to it.
 
 Every square and top-multiply of width 32 and up, and every product of
@@ -435,65 +435,92 @@ def _inv(a: int, w: int) -> int:
     return (_mul(ah, ninv, half) << half) ^ _mul(ah ^ al, ninv, half)
 
 
+# For each window digit d < 2^4 (k <= 4): its trailing zeros z, and the
+# index d >> (z + 1) of its odd part among _powers' odd powers.
+_DIGITS = ((0, 0), (0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (0, 3),
+           (3, 0), (0, 4), (1, 2), (0, 5), (2, 1), (0, 6), (1, 3), (0, 7))
+
+
 def _unprepared(b: int, w: int) -> int:
     return b
 
 
 def _pow(a: int, e: int, w: int) -> int:
-    """a^e: one log-table read for a base of 16 bits or fewer, else
-    left-to-right sliding windows of k bits over the odd powers a^1 ..
-    a^(2^k - 1), each fixed factor prepared once at wide widths; k = 1 is
-    plain square-and-multiply, with no a^2 entry.
-
-    A nonzero base in the width-w field has an order dividing 2^w - 1, so e
-    is reduced modulo it first, at the narrowest such w; 0^e is 0 for e > 0."""
-    if a == 0:
-        return 0 if e else 1
-    while w > 16 and a >> (w >> 1) == 0:
-        w >>= 1  # the powers of a stay in the half-width field
-    if w <= 16:
+    """a^e: one log-table read for a nonzero base of 16 bits or fewer, an
+    element of L_3 at any width w, else _powers of the one exponent."""
+    if 0 < a < 1 << 16:
         return _EXP16[_LOG16[a] * (e % 65535) % 65535]
-    e %= (1 << w) - 1
-    if e == 0:
-        return 1
+    return _powers(a, (e,), w)[0]
+
+
+def _powers(a: int, exponents, w: int) -> list[int]:
+    """[a^e for e in exponents]: _pow's log-table read for a base of 16
+    bits or fewer, else left-to-right sliding windows of k bits over one
+    table of odd powers a^1 .. a^(2^k - 1), k chosen for the longest
+    exponent and each fixed factor prepared once at wide widths, however
+    many exponents share them; k = 1 is plain square-and-multiply, with no
+    a^2 entry.
+
+    A nonzero base in the width-w field has an order dividing 2^w - 1, so
+    each e is reduced modulo it first, at the narrowest such w; 0^e is 0
+    for e > 0."""
+    if a == 0:
+        return [0 if e else 1 for e in exponents]
+    if a < 1 << 16:
+        return [_pow(a, e, w) for e in exponents]
+    while a >> (w >> 1) == 0:
+        w >>= 1  # the powers of a stay in the half-width field
+    order, longest = (1 << w) - 1, max(exponents)
+    if longest >= order:
+        exponents = [e % order for e in exponents]
+        longest = max(exponents)
     if _WIDE_BITS <= w <= _WIDE_MAX_BITS:
         prepare, times = _prepare, _mul_prepared
     else:
         prepare, times = _unprepared, _mul
-    # k by the exponent's length, the cut points measured at 32 to 1024 bits:
-    # below 10 bits a^2 and a^3 cost more than the multiplies they save.
-    bits = e.bit_length()
+    # k by the longest exponent's length, the cut points measured at 32 to
+    # 1024 bits: below 10 bits a^2 and a^3 cost more than the multiplies
+    # they save.  A shorter exponent takes the same k: its table is built.
+    bits = longest.bit_length()
     k = 1 if bits < 10 else 2 if bits < 24 else 3 if bits < 80 else 4
-    # Cut e into windows, low end first: each starts at a 1-bit and spans
-    # k bits, so its digit is odd.  A window is kept as (digit >> 1, its
-    # distance from the window above): a^digit is odd[digit >> 1], and the
-    # distance is the number of squares before its multiply.
-    mask = (1 << k) - 1
-    last = (e & -e).bit_length() - 1  # squares after the lowest window
-    e >>= last
-    windows = []
-    digit = (e & mask) >> 1
-    e >>= k
-    while e:
-        zeros = (e & -e).bit_length() - 1
-        e >>= zeros
-        windows.append((digit, k + zeros))
-        digit = (e & mask) >> 1
-        e >>= k
-    odd = [a]
+    odd, factors = [a], [prepare(a, w)]
     if k > 1:
         square_a = prepare(_square(a, w), w)
         for _ in range((1 << (k - 1)) - 1):
             odd.append(times(odd[-1], square_a, w))
-    r = odd[digit]
-    factors = [prepare(x, w) for x in odd] if windows else odd
-    for digit, squares in reversed(windows):
-        for _ in range(squares):
+            factors.append(prepare(odd[-1], w))
+    results = []
+    for e in exponents:
+        if e == 0:
+            results.append(1)
+            continue
+        # Windows from the top down: each starts at the highest 1-bit left
+        # and spans at most k bits, trimmed to end at a 1-bit, so its digit
+        # d is odd and a^d is odd[d >> 1].  `low` is the position of a
+        # window's lowest bit: between two windows r is squared once per
+        # bit of distance, and after the last once per bit below it.
+        top = e.bit_length()
+        low = top - k if top > k else 0
+        digit = e >> low
+        e ^= digit << low
+        zeros, index = _DIGITS[digit]
+        low += zeros
+        r = odd[index]
+        while e:
+            above = low
+            top = e.bit_length()
+            low = top - k if top > k else 0
+            digit = e >> low
+            e ^= digit << low
+            zeros, index = _DIGITS[digit]
+            low += zeros
+            for _ in range(above - low):
+                r = _square(r, w)
+            r = times(r, factors[index], w)
+        for _ in range(low):
             r = _square(r, w)
-        r = times(r, factors[digit], w)
-    for _ in range(last):
-        r = _square(r, w)
-    return r
+        results.append(r)
+    return results
 
 
 def mul_values(a: int, b: int, width: int) -> int:
@@ -508,6 +535,11 @@ def square_value(a: int, width: int) -> int:
 def pow_values(a: int, e: int, width: int) -> int:
     """Raw exponentiation of a coefficient vector (e a natural number)."""
     return _pow(a, e, max(width, 1))
+
+
+def powers_values(a: int, exponents, width: int) -> list[int]:
+    """[pow_values(a, e, width) for e in exponents], from one table of a's powers."""
+    return _powers(a, exponents, max(width, 1))
 
 
 def norm_split_values(a: int, width: int) -> tuple[int, int]:

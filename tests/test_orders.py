@@ -582,6 +582,101 @@ def test_corollaries_and_thm5_share_the_level_step(table, monkeypatch):
     assert computed.count(w) == 1
 
 
+def test_a_filed_step_equals_a_fresh_one(table):
+    # each answer is filed for y^3, and a filed answer, when first read,
+    # for its own cube: y^3 and y^9 read what y computed, and equal what a
+    # cleared memo computes for them, for y of full order N_j and for
+    # y^p (p | N_j) and y = 1 of less
+    for level in range(4, 9):
+        w = width_of(level)
+        entry = fermat.factorization(table, level)
+        factors = tuple((p, 1) for p in entry.factors)
+        y, _ = tower.norm_split_values(tower.random_element(level, 5000 + level).value, w)
+        for v in [y, 1] + [pow_values(y, p, w) for p in entry.factors]:
+            cube = tower.mul_values(tower.square_value(v, w), v, w)
+            ninth = tower.mul_values(tower.square_value(cube, w), cube, w)
+            orders._y_step.cache_clear()
+            filed = [orders._y_step(u, level, factors) for u in (v, cube, ninth)]
+            assert orders._y_step.cache_info().misses == 1, (level, v)
+            for u, answer in zip((cube, ninth), filed[1:]):
+                orders._y_step.cache_clear()
+                assert orders._y_step(u, level, factors) == answer, (level, v)
+            n_j = fermat_number(level)
+            want = tuple((p, int(pow_values(v, n_j // p, w) != 1)) for p in entry.factors)
+            assert filed[0] == want, (level, v)
+
+
+def test_a_step_with_the_prime_3_files_no_cube():
+    # y = c_0 in L_0 has order 3 = N_0, and its cube 1 has order 1: the
+    # answer carries over only when 3 is none of the step's primes
+    orders._y_step.cache_clear()
+    assert orders._y_step(2, 0, ((3, 1),)) == ((3, 1),)
+    assert orders._y_step(1, 0, ((3, 1),)) == ((3, 0),)
+    assert orders._y_step.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("level", [5, 7, 9])
+def test_a_i_reuses_the_steps_of_c_i(table, level):
+    # below level i, a_i's descent asks about the cubes of c_i's y
+    n = group_order(level, table)
+    orders._y_step.cache_clear()
+    o_c = multiplicative_order(generator("c", level, level), n)
+    computed = orders._y_step.cache_info().misses
+    assert computed == level - 3  # one step per level from 4 up
+    a = generator("a", level, level)
+    assert multiplicative_order(a, n) == o_c
+    assert multiplicative_order(a * generator("a", 0, level), n).value == 3 * o_c.value
+    assert orders._y_step.cache_info().misses == computed
+
+
+def test_verify_all_to_level_9_computes_one_step_per_level(monkeypatch, capsys):
+    levels = []
+    compute = orders._step_multiplicities
+    monkeypatch.setattr(
+        orders, "_step_multiplicities", lambda y, j, f: levels.append(j) or compute(y, j, f)
+    )
+    orders._y_step.cache_clear()
+    assert cli.main(["verify", "all", "--max-level", "9"]) == 1
+    fails = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line[:5] == "FAIL "]
+    assert fails == ["l2ex.fifth-power", "l2ex.order-sum"]
+    assert sorted(levels) == list(range(4, 10))
+    assert orders._y_step.cache_info().misses == 6
+
+
+def test_the_step_memo_is_safe_under_concurrency(table, monkeypatch):
+    # four threads ask 40 times each for the orders of c_i, a_i and random
+    # elements at levels 4-6 through a memo small enough to evict all the
+    # time, and get the serial answers; the memo stays within its bound
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(orders, "_STEP_CACHE_SIZE", 4)
+    jobs = []
+    for level in range(4, 7):
+        n = group_order(level, table)
+        xs = [generator("c", level, level), generator("a", level, level)]
+        xs += [tower.random_element(level, 6000 + 10 * level + k) for k in range(3)]
+        jobs += [(x, n) for x in xs]
+    orders._y_step.cache_clear()
+    serial = [multiplicative_order(x, n) for x, n in jobs]
+
+    def run(seed):
+        order = list(range(len(jobs))) * 40
+        random.Random(seed).shuffle(order)
+        return {k: multiplicative_order(*jobs[k]) for k in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = [f.result(timeout=120) for f in [pool.submit(run, s) for s in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert [got[k] for k in range(len(jobs))] == serial
+    assert orders._y_step.cache_info().currsize <= 4
+
+
 def _wrong_y(v, w):
     y, norm = tower.norm_split_values(v, w)
     return (y ^ 2 if y != 1 else y), norm

@@ -696,6 +696,49 @@ def test_pow_sliding_windows_match_plain(monkeypatch):
                 assert tower._pow(a, e, w) == _pow_plain(a, e, w), (level, hex(a), hex(e))
 
 
+def test_pow_windows_cut_short_at_bit_0_match_plain():
+    # windows run from the top down, so the lowest one may reach bit 0 with
+    # fewer than k bits left: every pattern of the 6 lowest bits under a
+    # random top, at each window width k
+    rng = random.Random(45)
+    for bits, w in ((9, 32), (10, 32), (24, 64), (80, 128)):
+        a = rng.getrandbits(w) | 1 << (w - 1)
+        high = (rng.getrandbits(bits - 6) | 1 << (bits - 7)) << 6
+        for low in range(64):
+            assert tower._pow(a, high | low, w) == _pow_plain(a, high | low, w), (w, bits, low)
+
+
+def test_shared_table_powers_match_separate_powers(monkeypatch):
+    # _powers builds one table of odd powers, for the longest exponent, and
+    # each exponent reads it: the same bits as one _pow per exponent, with
+    # the fixed factors of the wide path prepared once for all of them
+    rng = random.Random(46)
+    prepared = []
+    prepare = tower._prepare
+    monkeypatch.setattr(tower, "_prepare", lambda b, w: prepared.append(w) or prepare(b, w))
+    for w in (32, 64, 128, 256, 512, 1024, 2048, 4096):
+        order = (1 << w) - 1
+        e9, e23, e79, e80 = (rng.getrandbits(b) | 1 << (b - 1) for b in (9, 23, 79, 80))
+        groups = [(0, e23), (order, e9), (3 * order, 0, order + 5), (e9, e79), (e80, e23, 5),
+                  (e23, e23)]
+        if w <= 1024:
+            groups.append((rng.getrandbits(200) | 1 << 199, e9))
+        half = rng.getrandbits(w >> 1) | 1 << ((w >> 1) - 1)
+        bases = [rng.getrandbits(w) | 1 << (w - 1), half, 0, 1, rng.getrandbits(16) | 1]
+        for a in bases:
+            for exponents in groups:
+                got = tower._powers(a, exponents, w)
+                assert got == [tower._pow(a, e, w) for e in exponents], (w, hex(a), exponents)
+                if a and w <= 256:
+                    assert got == [_pow_plain(a, e % order, w) for e in exponents], (w, hex(a))
+        if w in (512, 1024):
+            # 4-bit windows: a^2 and the odd powers a .. a^15, once
+            prepared.clear()
+            tower._powers(bases[0], (e80, e23, e9), w)
+            assert prepared == [w] * 9
+    assert tower._powers(0, (0, 0, 7), 64) == [1, 1, 0]
+
+
 def test_pow_windowed_path_matches_plain():
     # a 200-bit exponent (4-bit windows) against two powers of its halves
     rng = random.Random(43)
