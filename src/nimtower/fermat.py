@@ -152,6 +152,8 @@ _BUILTIN_ENTRIES = tuple(
     for j, strings in sorted(_FACTOR_STRINGS.items())
 )
 
+_BUILTIN_PRIMES = frozenset(p for entry in _BUILTIN_ENTRIES for p in entry.factors)
+
 
 def builtin_factor_table() -> list[FermatFactorization]:
     """The embedded table for j = 0..11 (validated at import), as a fresh
@@ -286,7 +288,8 @@ def validate(
 
 class FactoredOrder(Value):
     """A positive integer carried together with its prime factorization,
-    a tuple of (prime, exponent) pairs."""
+    a tuple of (prime, exponent) pairs.  The constructor refuses a factor
+    that fails Miller-Rabin, skipping the builtin table's primes."""
 
     __slots__ = ("value", "factors")
 
@@ -299,6 +302,9 @@ class FactoredOrder(Value):
         primes = [p for p, _ in factors]
         if primes != sorted(set(primes)):
             raise ValidationError("factors must be strictly increasing primes")
+        composite = [p for p in primes if p not in _BUILTIN_PRIMES and not is_probable_prime(p)]
+        if composite:
+            raise ValidationError(f"factor {composite[0]} is not prime")
         super().__init__(value, factors)
 
     @classmethod

@@ -5,7 +5,7 @@ Orders follow the tower itself.  At level j the group order splits into
 coprime parts, 2^w - 1 = (2^(w/2) - 1) * N_j, so the order of x is the
 order of y = conj(x)/x, a divisor of N_j tested against N_j's few primes
 at exponents of about w/2 bits, times the order of the norm x*conj(x) one
-level down at half width, down to L_3, whose log table gives the rest.
+level down, to L_3, where the log table picks one of 16 prebuilt orders.
 Elements that differ by a factor from one level down share y, as c_i, a_i,
 c_i*c_0, a_i*a_0 and thm5 do at level i, so one bounded memo keeps the
 part of a step that depends only on y (for orders, steps at levels >= 4)
@@ -62,6 +62,12 @@ from .value import Value
 # query-mix pass.
 _STEP_CACHE_SIZE = 1024
 _NOT_AN_EXPONENT = "x^n != 1 for the claimed group order; wrong factor table or level"
+
+# The orders the log-table leaf reads: one per divisor d of 65535 = 3*5*17*257.
+_LEAF_ORDERS = {
+    d: FactoredOrder.from_prime_powers({p: 1 for p in (3, 5, 17, 257) if d % p == 0})
+    for d in (1, 3, 5, 15, 17, 51, 85, 255, 257, 771, 1285, 3855, 4369, 13107, 21845, 65535)
+}
 
 
 def _table_or_builtin(table):
@@ -220,9 +226,9 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
     counting the p-power steps down to 1 recovers a.  x^n = 1 exactly when
     y^g = 1 at every level, which is free when N_j divides g, so a prime
     N_j costs no exponentiation.  The norm x*conj(x) = x^(N_j) carries the
-    rest, down to 16 bits, where the log table gives its order at once (a
-    squarefree divisor of 65535, so each prime found has multiplicity 1).
-    The result o satisfies x^o = 1 and x^(o/p) != 1 for every prime p | o.
+    rest, down to 16 bits, where the log table picks its factored order,
+    one of 16 prebuilt, the result unless a step found a prime.  The
+    result o satisfies x^o = 1 and x^(o/p) != 1 for every prime p | o.
     """
     if x.value == 0:
         raise ZeroElement("zero has no multiplicative order")
@@ -234,10 +240,11 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
         multiplicities.update(found)
         level -= 1
     rest = leaf_order(v)
-    found = [p for p, e in n.factors if e and rest % p == 0]
-    if prod(found) != rest:
+    if n.value % rest:
         raise NotAnExponent(_NOT_AN_EXPONENT)
-    return FactoredOrder.from_prime_powers(multiplicities | dict.fromkeys(found, 1))
+    if any(multiplicities.values()):
+        return FactoredOrder.from_prime_powers(multiplicities | dict(_LEAF_ORDERS[rest].factors))
+    return _LEAF_ORDERS[rest]
 
 
 def is_primitive(

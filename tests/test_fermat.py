@@ -233,8 +233,15 @@ def test_group_order_refuses_a_table_that_is_not_the_group_size():
     assert is_primitive(x) == (True, 1)
 
 
-def test_builtin_group_orders_match_the_checked_path(table):
-    # equal but non-identical entries take the full product check
+def test_builtin_group_orders_match_the_checked_path(table, monkeypatch):
+    # equal but non-identical entries take the full product check, which
+    # runs no Miller-Rabin on the builtin table's primes
+    def refuse(*args):
+        raise AssertionError("Miller-Rabin on a builtin prime")
+
+    monkeypatch.setattr(fermat, "is_probable_prime", refuse)
+    with pytest.raises(AssertionError, match="Miller-Rabin"):
+        FactoredOrder(7, ((7, 1),))
     copies = [FermatFactorization(e.j, e.factors) for e in table]
     for i in range(12):
         prebuilt = group_order(i, fermat.builtin_factor_table())
@@ -261,6 +268,14 @@ def test_factored_order_invariants():
         FactoredOrder(10, ((3, 1),))
     with pytest.raises(ValidationError):
         FactoredOrder(15, ((5, 1), (3, 1)))
+    with pytest.raises(ValidationError, match="factor 4 is not prime"):
+        FactoredOrder(4, ((4, 1),))
+    with pytest.raises(ValidationError, match="factor 1 is not prime"):
+        FactoredOrder(1, ((1, 1),))
+    # an element of order 3 would find no prime 3 in this exponent
+    with pytest.raises(ValidationError, match="factor 15 is not prime"):
+        FactoredOrder(65535, ((15, 1), (17, 1), (257, 1)))
+    assert FactoredOrder(7 * 65535, ((3, 1), (5, 1), (7, 1), (17, 1), (257, 1))).value == 7 * 65535
 
 
 def test_miller_rabin():

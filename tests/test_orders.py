@@ -19,6 +19,7 @@ from nimtower.errors import (
     LevelError,
     MissingFactorization,
     NotAnExponent,
+    ValidationError,
     ZeroElement,
 )
 from nimtower.fermat import FactoredOrder, fermat_number, group_order
@@ -157,6 +158,14 @@ def test_order_errors(table):
         multiplicative_order(TowerElement(2, 0), n2)
     with pytest.raises(NotAnExponent):
         multiplicative_order(generator("c", 2, 2), FactoredOrder(5, ((5, 1),)))
+    # x = (c_5 + 1)^6700417 has order 5*17*257*641*65537; an exponent that
+    # listed N_5 = 641*6700417 as a prime would make 641 look absent
+    x = generator("c", 5, 5).add(TowerElement(5, 1)).pow(6700417)
+    o = multiplicative_order(x, group_order(5, table))
+    assert o.factors == ((5, 1), (17, 1), (257, 1), (641, 1), (65537, 1))
+    claimed = ((3, 1), (5, 1), (17, 1), (257, 1), (65537, 1), (fermat_number(5), 1))
+    with pytest.raises(ValidationError, match="not prime"):
+        FactoredOrder((1 << 64) - 1, claimed)
 
 
 def test_order_matches_brute_force(table):
@@ -254,13 +263,47 @@ def test_descent_not_an_exponent_for_lower_level_prime(table):
 
 
 def test_leaf_orders_of_all_of_l3_meet_the_order_certificate(table):
-    # every order the leaf reads is checked through the generic power path
+    # every order the leaf reads is checked through the generic power path;
+    # a leaf prime at multiplicity 2 and a prime foreign to L_3 change none
     n = group_order(3, table)
+    squared = FactoredOrder(65535 * 17, ((3, 1), (5, 1), (17, 2), (257, 1)))
+    foreign = FactoredOrder(65535 * 7, ((3, 1), (5, 1), (7, 1), (17, 1), (257, 1)))
     for v in range(1, 1 << 16):
-        o = multiplicative_order(TowerElement(3, v), n)
+        x = TowerElement(3, v)
+        o = multiplicative_order(x, n)
         assert pow_values(v, o.value, 16) == 1, v
         for p, _ in o.factors:
             assert pow_values(v, o.value // p, 16) != 1, (v, p)
+        assert multiplicative_order(x, squared) == multiplicative_order(x, foreign) == o, v
+
+
+def test_the_leaf_orders_are_the_divisors_of_65535():
+    divisors = [d for d in range(1, 1 << 16) if 65535 % d == 0]
+    assert sorted(orders._LEAF_ORDERS) == divisors and len(divisors) == 16
+    for d, order in orders._LEAF_ORDERS.items():
+        primes = [p for p in (3, 5, 17, 257) if d % p == 0]
+        assert order == FactoredOrder.from_prime_powers(dict.fromkeys(primes, 1))
+        assert order == FactoredOrder(d, tuple((p, 1) for p in primes))
+
+
+def test_orders_in_l3_and_below_build_no_factored_order(table, monkeypatch):
+    built = []
+
+    def count(make):
+        def counted(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(FactoredOrder, "__init__", count(FactoredOrder.__init__))
+    monkeypatch.setattr(FactoredOrder, "from_prime_powers", count(FactoredOrder.from_prime_powers))
+    n = group_order(3, table)
+    leaf = {multiplicative_order(TowerElement(3, v), n) for v in range(1, 1 << 16)}
+    for v in range(1, 256):
+        is_primitive(TowerElement(2, v))
+    assert not built
+    assert {id(o) for o in leaf} == {id(o) for o in orders._LEAF_ORDERS.values()}
 
 
 def test_leaf_orders_of_l2_match_the_oracle_brute_force(table):
@@ -481,7 +524,8 @@ def test_orders_of_lifted_elements(table, level):
     # above x's own level each descent step has y = conj(x)/x = 1, which
     # _y_step answers with multiplicity 0 for every prime; under x's own
     # order no prime divides N_k for k above its level, so those steps get
-    # no prime at all
+    # no prime at all; so an element of L_3 or below gets the leaf's
+    # prebuilt order back
     orders._y_step.cache_clear()
     elements = [generator("c", level, level), generator("a", level, level)]
     elements += [tower.random_element(level, 4000 + seed) for seed in range(2)]
@@ -489,7 +533,8 @@ def test_orders_of_lifted_elements(table, level):
         own = multiplicative_order(x, group_order(level, table))
         for k in range(level + 1, 10):
             lifted = x.lift(k)
-            assert multiplicative_order(lifted, group_order(k, table)) == own, (x, k)
+            order = multiplicative_order(lifted, group_order(k, table))
+            assert order == own and (order is own) == (level <= 3), (x, k)
             assert multiplicative_order(lifted, own) == own, (x, k)
             square = tower.square_value(x.value, width_of(k - 1))
             assert orders._down_step(lifted.value, fermat.factorization(table, k)) == (square, 1)

@@ -218,8 +218,9 @@ def test_a_log_generator_of_short_order_is_refused(monkeypatch, p):
 
 @pytest.mark.parametrize("w", [32, 64, 128, 256])
 def test_straight_line_bases_match_recursive_oracle(w):
-    # squares and top-multiplies read the slice tables; products at 32 and
-    # 64 are straight-line code, wider ones recurse down to them
+    # squares and top-multiplies read the slice tables; products at 64 are
+    # straight-line code, wider ones recurse down to them, and those at 32
+    # take the general Karatsuba step over 16-bit log products
     from nimtower.oracle import nim_mul_rec
     from nimtower.tower import _mul, _mul_top, _square
 
