@@ -16,12 +16,15 @@ import sys
 import time
 
 from . import expr, fermat, oracle, orders, tower
-from .errors import MissingFactorization, NimtowerError, ParseError
+from .errors import LevelError, MissingFactorization, NimtowerError, ParseError
 from .report import CheckRecord, VerificationReport
 from .value import Value
 
 _IDENTITY_CAP = 8  # default ceiling for identity/membership sweeps
 _HEAVY_CAP = 11  # default ceiling for quotient-check/corollary sweeps
+# Widest nim-mul operand: the recursive product's time grows about 4.5x per
+# doubling of the width, to seconds at this one.
+_NIM_MUL_MAX_BITS = 16384
 
 
 def _load_table(path: str | None):
@@ -196,6 +199,8 @@ def parse_nat(s: str) -> int:
 def _cmd_nim_mul(args) -> int:
     a = parse_nat(args.a)
     b = parse_nat(args.b)
+    if max(a, b).bit_length() > _NIM_MUL_MAX_BITS:
+        raise LevelError(f"nim-mul operands are limited to {_NIM_MUL_MAX_BITS} bits")
     result = oracle.nim_mul_rec(a, b)
     if args.a[:2].lower() == "0x" or args.b[:2].lower() == "0x":
         print(f"{result:#x}")

@@ -288,16 +288,16 @@ def validate(
 
 class FactoredOrder(Value):
     """A positive integer carried together with its prime factorization,
-    a tuple of (prime, exponent) pairs.  The constructor refuses a factor
-    that fails Miller-Rabin, skipping the builtin table's primes."""
+    a tuple of (prime, exponent) pairs.  The constructor refuses an
+    exponent that is not an int >= 1, and a factor that fails Miller-Rabin,
+    skipping the builtin table's primes."""
 
     __slots__ = ("value", "factors")
 
     def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
-        product = 1
-        for p, e in factors:
-            product *= p**e
-        if product != value:
+        if any(type(e) is not int or e < 1 for _, e in factors):
+            raise ValidationError("factor exponents must be ints >= 1")
+        if prod(p**e for p, e in factors) != value:
             raise ValidationError("factored value does not match its factors")
         primes = [p for p, _ in factors]
         if primes != sorted(set(primes)):

@@ -6,15 +6,15 @@ coprime parts, 2^w - 1 = (2^(w/2) - 1) * N_j, so the order of x is the
 order of y = conj(x)/x, a divisor of N_j tested against N_j's few primes
 at exponents of about w/2 bits, times the order of the norm x*conj(x) one
 level down, to L_3, where the log table picks one of 16 prebuilt orders.
-Elements that differ by a factor from one level down share y, as c_i, a_i,
-c_i*c_0, a_i*a_0 and thm5 do at level i, so one bounded memo keeps the
-part of a step that depends only on y (for orders, steps at levels >= 4)
-and certifies each y once: norm(y) = y^(N_j) must be 1.  As 3 divides
-no N_j, y^3 generates the same subgroup as y, so the memo files each
-answer for y^3 too: below level i, a_i's descent asks about y^3, y^9,
-... of the y that c_i's asked about, and reuses its steps.  A step's
-cofactor powers come from a product tree, each node raising one base to
-two exponents from one table of its odd powers.
+That order of y is one int, the product of the listed primes p of N_j
+with y^(g/p) != 1, g being their product.  Elements that differ by a
+factor from one level down share y, as c_i, a_i, c_i*c_0, a_i*a_0 and
+thm5 do at level i, so one bounded memo keeps that order (for orders,
+steps at levels >= 4) and certifies each y once: norm(y) = y^(N_j) must
+be 1.  As 3 divides no N_j, y^3 has the order of y, so the memo files
+each answer for y^3 too: below level i, a_i's descent asks about y^3,
+y^9, ... of the y that c_i's asked about, and reuses its steps.  The
+cofactor powers y^(g/p) come from one product tree.
 
 Every subfield question is answered by the same two facts.  conj fixes
 exactly L_(j-1), so x^d lies one level down exactly when (conj(x)/x)^d = 1:
@@ -74,7 +74,7 @@ def _table_or_builtin(table):
     return _BUILTIN_ENTRIES if table is None else table
 
 
-def _cofactor_powers(v: int, w: int, blocks: list[int]) -> list[int]:
+def _cofactor_powers(v: int, w: int, blocks: tuple[int, ...]) -> list[int]:
     """[v^(B/b) for b in blocks], B = prod(blocks), via a product tree
     split where the bits balance, since each tree level costs about the bit
     length of B: the 1872-bit prime of N_11 sits at depth 1.  Both powers
@@ -90,17 +90,16 @@ def _cofactor_powers(v: int, w: int, blocks: list[int]) -> list[int]:
     return _cofactor_powers(to_left, w, left) + _cofactor_powers(to_right, w, right)
 
 
-def _level_step(
-    v: int, level: int, factors: list[tuple[int, int]]
-) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _down_step(v: int, level: int, primes: tuple[int, ...]) -> tuple[int, int]:
     """One step of the descent for nonzero v in L_level: the norm
-    v*conj(v) = v^(N_level), which lies one level down, and the _y_step
-    multiplicities of y = conj(v)/v for prime powers `factors` of N_level."""
+    v*conj(v) = v^(N_level), which lies one level down, and the order d of
+    y = conj(v)/v from primes `primes` of N_level, the smallest d > 0 with
+    v^d in L_(level-1)."""
     y, norm = norm_split_values(v, width_of(level))
-    return norm, _y_step(y, level, tuple(sorted(factors)))
+    return norm, _y_step(y, level, primes)
 
 
-# The step memo: (y, level, factors) -> [answer, whether its cube is
+# The step memo: (y, level, primes) -> [order of y, whether its cube is
 # still to be filed], least recently used first, and its hits and misses.
 # It takes no lock: each OrderedDict call is atomic, two threads that race
 # compute or file the same answer, and only the counters may miss a count.
@@ -108,28 +107,26 @@ _STEPS: OrderedDict = OrderedDict()
 _STEP_COUNTS = [0, 0]
 
 
-def _y_step(
-    y: int, level: int, factors: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int], ...]:
-    """_step_multiplicities behind a bounded memo, least recently used
-    dropped first, filed entries included.
+def _y_step(y: int, level: int, primes: tuple[int, ...]) -> int:
+    """_y_order behind a bounded memo, least recently used dropped first,
+    filed entries included.
 
     On its first use an entry also files its answer under (y^3, level,
-    factors), y^3 being one square and one multiply.  Lemma 5 makes that
+    primes), y^3 being one square and one multiply.  Lemma 5 makes that
     the next question: a_i^(N_i) = a_(i-1)^(N_i+1), and N_i + 1 is 3
     modulo N_(i-1), so below its top level a_i's descent asks about y^3,
     y^9, ... where c_i's asked about y.  The answer carries over exactly
-    when 3 is none of the step's primes: y^g = 1 gives (y^3)^g = 1, each
-    cofactor power is cubed, and cubing keeps an order prime to 3.  The
+    when 3 is none of the step's primes: y^g = 1 gives (y^3)^g = 1, and
+    ord(y^3) = ord(y) when 3 does not divide ord(y), which divides g.  The
     certificate carries over too, as norm(y^3) = norm(y)^3 = 1, so every
     y the memo answers has norm 1.  Each N_j (j >= 1) is 2 modulo 3, so
     no step of the descent has the prime 3; the guard is for direct calls.
     """
-    key = (y, level, factors)
+    key = (y, level, primes)
     entry = _STEPS.get(key)
     if entry is None:
         _STEP_COUNTS[1] += 1
-        entry = [_step_multiplicities(y, level, factors), 3 not in dict(factors)]
+        entry = [_y_order(y, level, primes), 3 not in primes]
         _file_step(key, entry)
     else:
         _STEP_COUNTS[0] += 1
@@ -140,7 +137,7 @@ def _y_step(
     if entry[1]:
         entry[1] = False
         w = width_of(level)
-        cube = (mul_values(square_value(y, w), y, w), level, factors)
+        cube = (mul_values(square_value(y, w), y, w), level, primes)
         if cube not in _STEPS:
             _file_step(cube, [entry[0], True])
     return entry[0]
@@ -168,38 +165,21 @@ def _step_cache_clear() -> None:
 _y_step.cache_info, _y_step.cache_clear = _step_cache_info, _step_cache_clear
 
 
-def _step_multiplicities(
-    y: int, level: int, factors: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int], ...]:
-    """(p, a) for each prime power (p, e) of `factors`, with product g, a
-    being p's multiplicity in the order of y != 1 in L_level: each cofactor
-    power y^(g/p^e) has order p^a, and counting the p-power steps down to 1
-    recovers a.  Raises ArithmeticFault unless norm(y) = y^(N_level) = 1,
-    and NotAnExponent unless y^g = 1, which is free when N_level divides g.
+def _y_order(y: int, level: int, primes: tuple[int, ...]) -> int:
+    """The order of y in L_level, for distinct primes `primes` of N_level
+    with product g: the product of the p with y^(g/p) != 1, each cofactor
+    power taken from one product tree.  y^g = 1 makes the order a divisor
+    of the squarefree g, so no prime is counted twice.  Raises
+    ArithmeticFault unless norm(y) = y^(N_level) = 1, and NotAnExponent
+    unless y^g = 1, which is free when N_level divides g.
     """
     w = width_of(level)
     if norm_value(y, w) != 1:
         raise ArithmeticFault(f"conj(x)/x has norm != 1 at level {level}")
-    g = prod(p**e for p, e in factors)
+    g = prod(primes)
     if g % fermat_number(level) and pow_values(y, g, w) != 1:
         raise NotAnExponent(_NOT_AN_EXPONENT)
-    multiplicities = []
-    for (p, e), z in zip(factors, _cofactor_powers(y, w, [p**e for p, e in factors])):
-        t = 0
-        while z != 1:
-            t += 1
-            if t == e:
-                break  # z^(p^(e-t)) = y^g = 1 is already known
-            z = pow_values(z, p, w)
-        multiplicities.append((p, t))
-    return tuple(multiplicities)
-
-
-def _down_step(v: int, entry: FermatFactorization) -> tuple[int, int]:
-    """(v^(N_j), d) for nonzero v in L_j, j = entry.j: the norm, and the
-    smallest d > 0 with v^d in L_(j-1), which is the order of conj(v)/v."""
-    norm, found = _level_step(v, entry.j, [(p, 1) for p in entry.factors])
-    return norm, prod(p**t for p, t in found)
+    return prod(p for p, z in zip(primes, _cofactor_powers(y, w, primes)) if z != 1)
 
 
 def _norm_chain(v: int, level: int, steps: int) -> list[int]:
@@ -221,30 +201,31 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
 
     Descends from x's level one norm at a time.  At level j, y = conj(x)/x
     = x^(2^(w/2)-1) carries the part of the order that divides N_j: with
-    g the product of n's prime powers dividing N_j, each cofactor power
-    y^(g/p^e) has order p^a, a being p's multiplicity in the order, and
-    counting the p-power steps down to 1 recovers a.  x^n = 1 exactly when
-    y^g = 1 at every level, which is free when N_j divides g, so a prime
-    N_j costs no exponentiation.  The norm x*conj(x) = x^(N_j) carries the
-    rest, down to 16 bits, where the log table picks its factored order,
-    one of 16 prebuilt, the result unless a step found a prime.  The
-    result o satisfies x^o = 1 and x^(o/p) != 1 for every prime p | o.
+    g the product of n's primes dividing N_j, that part d is the product
+    of the p with y^(g/p) != 1, each prime read once whatever its
+    multiplicity in n.  x^n = 1 exactly when y^g = 1 at every level, which
+    is free when N_j divides g, so a prime N_j costs no exponentiation.
+    The norm x*conj(x) = x^(N_j) carries the rest, down to 16 bits, where
+    the log table picks its factored order, one of 16 prebuilt, the result
+    when every d is 1.  The result o satisfies x^o = 1 and x^(o/p) != 1
+    for every prime p | o.
     """
     if x.value == 0:
         raise ZeroElement("zero has no multiplicative order")
     level, v = x.level, x.value
-    multiplicities: dict[int, int] = {}
+    order = 1
     while v >> LOG_TABLE_BITS:
         n_j = fermat_number(level)
-        v, found = _level_step(v, level, [(p, e) for p, e in n.factors if n_j % p == 0])
-        multiplicities.update(found)
+        v, d = _down_step(v, level, tuple(p for p, _ in n.factors if n_j % p == 0))
+        order *= d
         level -= 1
     rest = leaf_order(v)
     if n.value % rest:
         raise NotAnExponent(_NOT_AN_EXPONENT)
-    if any(multiplicities.values()):
-        return FactoredOrder.from_prime_powers(multiplicities | dict(_LEAF_ORDERS[rest].factors))
-    return _LEAF_ORDERS[rest]
+    if order == 1:
+        return _LEAF_ORDERS[rest]
+    order *= rest
+    return FactoredOrder.from_prime_powers({p: 1 for p, _ in n.factors if order % p == 0})
 
 
 def is_primitive(
@@ -269,7 +250,7 @@ def minimal_subfield_exponent(
     if j < 1:
         raise LevelError(f"minimal subfield exponent needs j >= 1, got {j}")
     entry = factorization(_table_or_builtin(table), j)
-    return _down_step(generator("c", j, j).value, entry)[1]
+    return _down_step(generator("c", j, j).value, j, entry.factors)[1]
 
 
 class AlphaChain(Value):
@@ -306,7 +287,7 @@ def alpha_chain(
     v = generator(base, i, i).value
     alphas: list[int] = []
     for m in range(i, 0, -1):
-        v, alpha = _down_step(v, entries[m])
+        v, alpha = _down_step(v, m, entries[m].factors)
         if alpha != fermat_number(m):
             raise NotAnExponent(f"alpha_{m} = {alpha} is not N_{m}")
         alphas.append(alpha)
@@ -441,7 +422,7 @@ def verify_thm5(j: int, table: list[FermatFactorization] | None = None) -> Verif
         raise LevelError(f"quotient checks need level >= 1, got {j}")
     entry = factorization(_table_or_builtin(table), j)
     report = VerificationReport()
-    norm, d = _down_step(_cgen(j).value, entry)
+    norm, d = _down_step(_cgen(j).value, j, entry.factors)
     report.add(f"thm5.j{j:02d}.eq1", norm == _agen(j - 1).value, f"c_{j}^(N_{j}) = a_{j - 1}")
     for idx, p in enumerate(entry.factors):
         report.add(

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
+from nimtower import cli, oracle
 from nimtower.cli import main, parse_nat
 from nimtower.errors import ParseError
+from nimtower.tower import TowerElement
 
 
 def run(capsys, *argv):
@@ -174,6 +177,30 @@ def test_nim_mul(capsys):
     assert code == 0 and out == "24\n"
     code, out, _ = run(capsys, "nim-mul", "0x10", "0x10")
     assert code == 0 and out == "0x18\n"
+
+
+def test_nim_mul_refuses_an_operand_above_16384_bits(capsys, monkeypatch):
+    # the recursive product takes about 4.5x longer per doubling of the
+    # width; an operand one bit too wide is refused before any multiply
+    monkeypatch.setattr(oracle, "nim_mul_rec", lambda a, b: pytest.fail("multiplied"))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # 2^16384 has 4933 decimal digits
+    try:
+        wide = 1 << cli._NIM_MUL_MAX_BITS
+        for a, b in [(hex(wide), "0x3"), ("2", str(wide))]:
+            code, out, err = run(capsys, "nim-mul", a, b)
+            assert code == 1 and out == "" and "LevelError" in err
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_nim_mul_accepts_a_16384_bit_operand(capsys):
+    widest = (1 << cli._NIM_MUL_MAX_BITS) - 1
+    code, out, _ = run(capsys, "nim-mul", hex(widest), "0x2")
+    assert code == 0
+    assert int(out, 16) == TowerElement(14, widest).mul(TowerElement(14, 2)).value
 
 
 def test_oracle_check_single_level(capsys):

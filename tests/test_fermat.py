@@ -276,6 +276,14 @@ def test_factored_order_invariants():
     with pytest.raises(ValidationError, match="factor 15 is not prime"):
         FactoredOrder(65535, ((15, 1), (17, 1), (257, 1)))
     assert FactoredOrder(7 * 65535, ((3, 1), (5, 1), (7, 1), (17, 1), (257, 1))).value == 7 * 65535
+    # 3^-1 * q rounds to 2^60 as a float; exponents must be ints >= 1
+    for value, factors in [
+        (2**60, ((3, -1), (3458764513820541091, 1))),
+        (1, ((7, 0),)),
+        (2, ((2, 1.0),)),
+    ]:
+        with pytest.raises(ValidationError, match="exponents must be ints >= 1"):
+            FactoredOrder(value, factors)
 
 
 def test_miller_rabin():

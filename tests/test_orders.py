@@ -10,6 +10,7 @@ reads the coefficient bits.
 """
 
 import random
+from math import prod
 
 import pytest
 
@@ -211,6 +212,20 @@ def test_order_handles_multiplicities():
     assert multiplicative_order(c1, n).value == 15
 
 
+@pytest.mark.parametrize("level, p", [(5, 641), (6, 274177), (7, 59649589127497217)])
+def test_a_squared_prime_of_n_j_gives_the_same_order_at_step_levels(table, level, p):
+    # an exponent that lists a prime of N_level twice reads it once
+    n = group_order(level, table)
+    squared = FactoredOrder.from_prime_powers(dict(n.factors) | {p: 2})
+    assert squared.value == n.value * p
+    c = generator("c", level, level)
+    xs = [c, c.mul(generator("c", 0, level))]
+    xs += [tower.random_element(level, 7000 + 10 * level + k) for k in range(2)]
+    orders._y_step.cache_clear()
+    for x in xs:
+        assert multiplicative_order(x, squared) == multiplicative_order(x, n), x
+
+
 def _structured(level):
     """c_i, a_i, c_i*c_0 and a_i*a_0 at level i."""
     c, a = generator("c", level, level), generator("a", level, level)
@@ -330,9 +345,14 @@ def test_leaf_refuses_an_exponent_without_257_outside_l2():
 
 
 def test_leaf_ignores_a_prime_listed_with_multiplicity_zero():
-    # 15 = 3 * 5 * 17^0 is not an exponent of c_2 + c_1 + 1, of order 85
+    # 15 = 3 * 5 * 17^0 is refused as built; 15 = 3 * 5, with 17 dropped,
+    # is not an exponent of c_2 + c_1 + 1, of order 85
+    with pytest.raises(ValidationError):
+        FactoredOrder(15, ((3, 1), (5, 1), (17, 0)))
+    dropped = FactoredOrder.from_prime_powers({3: 1, 5: 1, 17: 0})
+    assert dropped == FactoredOrder(15, ((3, 1), (5, 1)))
     with pytest.raises(NotAnExponent):
-        multiplicative_order(TowerElement(2, 0x15), FactoredOrder(15, ((3, 1), (5, 1), (17, 0))))
+        multiplicative_order(TowerElement(2, 0x15), dropped)
 
 
 # -- is_primitive --------------------------------------------------------------
@@ -415,9 +435,9 @@ def test_alpha_chain_rejects_an_alpha_below_n(table, monkeypatch):
     # of N_m (641 divides N_5) breaks that invariant and must not be reported
     step = orders._down_step
 
-    def short_at_level_5(v, entry):
-        norm, d = step(v, entry)
-        return norm, 641 if entry.j == 5 else d
+    def short_at_level_5(v, level, primes):
+        norm, d = step(v, level, primes)
+        return norm, 641 if level == 5 else d
 
     monkeypatch.setattr(orders, "_down_step", short_at_level_5)
     for base in ("c", "a"):
@@ -514,7 +534,7 @@ def test_level_step_finds_exponents_below_n(table):
         values = [x, tower.random_element(level - 1, 9).value or 1]
         values += [pow_values(x, p, w) for p in entry.factors]
         for v in values:
-            norm, d = orders._down_step(v, entry)
+            norm, d = orders._down_step(v, level, entry.factors)
             assert d == spec_subfield_exponent(v, level, entry.factors), (level, v)
             assert norm == pow_values(v, fermat_number(level), w)
 
@@ -522,7 +542,7 @@ def test_level_step_finds_exponents_below_n(table):
 @pytest.mark.parametrize("level", [2, 3, 4, 5])
 def test_orders_of_lifted_elements(table, level):
     # above x's own level each descent step has y = conj(x)/x = 1, which
-    # _y_step answers with multiplicity 0 for every prime; under x's own
+    # _y_step answers with order 1; under x's own
     # order no prime divides N_k for k above its level, so those steps get
     # no prime at all; so an element of L_3 or below gets the leaf's
     # prebuilt order back
@@ -537,7 +557,8 @@ def test_orders_of_lifted_elements(table, level):
             assert order == own and (order is own) == (level <= 3), (x, k)
             assert multiplicative_order(lifted, own) == own, (x, k)
             square = tower.square_value(x.value, width_of(k - 1))
-            assert orders._down_step(lifted.value, fermat.factorization(table, k)) == (square, 1)
+            primes = fermat.factorization(table, k).factors
+            assert orders._down_step(lifted.value, k, primes) == (square, 1)
 
 
 def test_identities_and_membership_beyond_the_factor_table():
@@ -553,7 +574,7 @@ def test_verify_thm5_reports_a_prime_outside_the_order(table, monkeypatch):
     # c_j^(N_j/p) stays in L_(j-1) when p does not divide the order of
     # conj(c_j)/c_j; the record for that prime alone must turn FAIL
     step = orders._down_step
-    monkeypatch.setattr(orders, "_down_step", lambda v, entry: (step(v, entry)[0], 6700417))
+    monkeypatch.setattr(orders, "_down_step", lambda *args: (step(*args)[0], 6700417))
     status = {r.check_id: r.ok for r in verify_thm5(5, table).records}
     assert status == {"thm5.j05.eq1": True, "thm5.j05.q0": False, "thm5.j05.q1": True}
 
@@ -635,19 +656,19 @@ def test_a_filed_step_equals_a_fresh_one(table):
     for level in range(4, 9):
         w = width_of(level)
         entry = fermat.factorization(table, level)
-        factors = tuple((p, 1) for p in entry.factors)
+        primes = entry.factors
         y, _ = tower.norm_split_values(tower.random_element(level, 5000 + level).value, w)
         for v in [y, 1] + [pow_values(y, p, w) for p in entry.factors]:
             cube = tower.mul_values(tower.square_value(v, w), v, w)
             ninth = tower.mul_values(tower.square_value(cube, w), cube, w)
             orders._y_step.cache_clear()
-            filed = [orders._y_step(u, level, factors) for u in (v, cube, ninth)]
+            filed = [orders._y_step(u, level, primes) for u in (v, cube, ninth)]
             assert orders._y_step.cache_info().misses == 1, (level, v)
             for u, answer in zip((cube, ninth), filed[1:]):
                 orders._y_step.cache_clear()
-                assert orders._y_step(u, level, factors) == answer, (level, v)
+                assert orders._y_step(u, level, primes) == answer, (level, v)
             n_j = fermat_number(level)
-            want = tuple((p, int(pow_values(v, n_j // p, w) != 1)) for p in entry.factors)
+            want = prod(p for p in entry.factors if pow_values(v, n_j // p, w) != 1)
             assert filed[0] == want, (level, v)
 
 
@@ -655,8 +676,8 @@ def test_a_step_with_the_prime_3_files_no_cube():
     # y = c_0 in L_0 has order 3 = N_0, and its cube 1 has order 1: the
     # answer carries over only when 3 is none of the step's primes
     orders._y_step.cache_clear()
-    assert orders._y_step(2, 0, ((3, 1),)) == ((3, 1),)
-    assert orders._y_step(1, 0, ((3, 1),)) == ((3, 0),)
+    assert orders._y_step(2, 0, (3,)) == 3
+    assert orders._y_step(1, 0, (3,)) == 1
     assert orders._y_step.cache_info().misses == 2
 
 
@@ -676,10 +697,8 @@ def test_a_i_reuses_the_steps_of_c_i(table, level):
 
 def test_verify_all_to_level_9_computes_one_step_per_level(monkeypatch, capsys):
     levels = []
-    compute = orders._step_multiplicities
-    monkeypatch.setattr(
-        orders, "_step_multiplicities", lambda y, j, f: levels.append(j) or compute(y, j, f)
-    )
+    compute = orders._y_order
+    monkeypatch.setattr(orders, "_y_order", lambda y, j, p: levels.append(j) or compute(y, j, p))
     orders._y_step.cache_clear()
     assert cli.main(["verify", "all", "--max-level", "9"]) == 1
     fails = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line[:5] == "FAIL "]
@@ -757,7 +776,7 @@ def test_a_level3_step_outside_the_exponent_is_refused():
     y, _ = tower.norm_split_values(generator("c", 3, 3).value, 16)
     with pytest.raises(NotAnExponent):
         orders._y_step(y, 3, ())
-    assert orders._y_step(y, 3, ((257, 1),)) == ((257, 1),)
+    assert orders._y_step(y, 3, (257,)) == 257
 
 
 def test_a_raising_suite_names_its_error_not_the_factor_table(monkeypatch, capsys):
