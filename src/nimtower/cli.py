@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from . import expr, fermat, oracle, orders, tower
+from . import fermat, orders, tower
 from .errors import LevelError, MissingFactorization, NimtowerError, ParseError
 from .report import CheckRecord, VerificationReport
 from .value import Value
@@ -121,6 +121,8 @@ def _emit_report(report: VerificationReport, timing: float | None = None) -> int
 
 
 def _cmd_eval(args) -> int:
+    from . import expr
+
     element = expr.evaluate(args.expression)
     if args.format == "poly":
         print(tower.format_element(element, "poly"))
@@ -130,6 +132,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from . import expr
+
     element = expr.evaluate(args.expression)
     element = element.lift(max(element.level, 0))  # L_-1 holds only 0 and 1
     table = _load_table(args.factor_file)
@@ -143,6 +147,8 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_primitive(args) -> int:
+    from . import expr
+
     element = expr.evaluate(args.expression)
     table = _load_table(args.factor_file)
     primitive, index = orders.is_primitive(element, table)
@@ -197,6 +203,8 @@ def parse_nat(s: str) -> int:
 
 
 def _cmd_nim_mul(args) -> int:
+    from . import oracle
+
     a = parse_nat(args.a)
     b = parse_nat(args.b)
     if max(a, b).bit_length() > _NIM_MUL_MAX_BITS:
@@ -210,6 +218,8 @@ def _cmd_nim_mul(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from . import oracle
+
     report = VerificationReport()
     levels = [args.level] if args.level is not None else list(range(0, oracle.CROSS_CHECK_MAX_LEVEL + 1))
     for level in levels:

@@ -57,7 +57,7 @@ class MissingFactorization(NimtowerError):
 
 
 class ValidationError(NimtowerError):
-    """A factor table failed its load-time consistency checks."""
+    """A factor table or the mex table failed its load-time consistency checks."""
 
 
 class OutOfOracleRange(NimtowerError):

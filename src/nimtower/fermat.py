@@ -324,14 +324,16 @@ class FactoredOrder(Value):
 
 def group_order(i: int, table: list[FermatFactorization]) -> FactoredOrder:
     """The factored order N_0 * ... * N_i = 2^(2^(i+1)) - 1 of the level-i
-    multiplicative group, prebuilt when the table's entries of levels 0..i
-    are the builtin objects.  The N_j are pairwise coprime, so each prime
-    occurs once; ValidationError if the table's primes of levels 0..i
-    repeat or do not multiply to the group's size."""
+    multiplicative group, prebuilt when the table is the builtin tuple or
+    its entries of levels 0..i are the builtin objects.  The N_j are
+    pairwise coprime, so each prime occurs once; ValidationError if the
+    table's primes of levels 0..i repeat or do not multiply to the group's
+    size."""
     if i < 0:
         raise ValueError(f"level must be >= 0, got {i}")
-    head = table[: i + 1]
-    if len(head) == i + 1 <= len(_BUILTIN_ORDERS) and all(map(is_, head, _BUILTIN_ENTRIES)):
+    if i < len(_BUILTIN_ORDERS) and (
+        table is _BUILTIN_ENTRIES or len(table) > i and all(map(is_, table[: i + 1], _BUILTIN_ENTRIES))
+    ):
         return _BUILTIN_ORDERS[i]
     primes = sorted(p for j in range(i + 1) for p in factorization(table, j).factors)
     return FactoredOrder((1 << (1 << (i + 1))) - 1, tuple((p, 1) for p in primes))

@@ -4,9 +4,13 @@ The tower arithmetic in :mod:`nimtower.tower` is, under its bit encoding,
 exactly nimber multiplication.  Two oracles of different provenance pin it
 down:
 
-* ``nim_mul_mex`` evaluates Conway's game-theoretic definition
-  (minimum excludant over all simpler products) and nothing else.  It is
-  exhaustive but bounded: building the memo table costs O(n^4).
+* ``nim_mul_mex`` reads Conway's game-theoretic definition (minimum
+  excludant over all simpler products), tabulated in the package data file
+  ``mex256.bin``: a*b for all a, b < 256, one byte each, entry a*256 + b,
+  65536 bytes with sha256
+  6c5a2b2766c7f36f30c73a6dc193f68966a4480e1f87f13dc1aaea70d44b24f1.
+  ``tests/test_oracle.py::test_mex_table_regenerates_from_the_definition``
+  rebuilds it from the definition and compares it byte for byte.
 * ``nim_mul_rec`` is the direct four-product split at the largest Fermat
   2-power, with no Karatsuba rearrangement and no specialized constant
   paths, so it shares no structure with the production multiply.
@@ -17,15 +21,11 @@ in seconds.
 
 from __future__ import annotations
 
+import os
 import random
-import threading
-from typing import TYPE_CHECKING
 
-from .errors import LevelError, OutOfOracleRange
+from .errors import LevelError, OutOfOracleRange, ValidationError
 from .report import VerificationReport
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Exhaustive scope of the mex oracle: covers L_2 (values < 256) in full.
 MEX_ORACLE_BOUND = 256
@@ -34,49 +34,37 @@ MEX_ORACLE_BOUND = 256
 # still cheap for the recursive oracle.
 CROSS_CHECK_MAX_LEVEL = 6
 
-_lock = threading.Lock()
-_mex_table: np.ndarray | None = None
+_MEX_TABLE_PATH = os.path.join(os.path.dirname(__file__), "mex256.bin")
+_MEX_TABLE_SHA256 = "6c5a2b2766c7f36f30c73a6dc193f68966a4480e1f87f13dc1aaea70d44b24f1"
+
+# Both tables are pure functions, so a race only loads or builds one twice.
+_mex_table: bytes | None = None
 _rec_table: list[list[int]] | None = None
 
 
-def _build_mex_table() -> np.ndarray:
-    """Fill a*b = mex{a'*b ^ a*b' ^ a'*b'} bottom-up for all a, b < 256.
+def _load_mex_table() -> bytes:
+    """The checked-in mex table; ValidationError if it cannot be read or is
+    not the pinned 65536 bytes."""
+    import hashlib
 
-    Row/column/block slices of the partially filled table give the option
-    set of each cell; commutativity halves the work.  numpy is imported
-    here, not at module level, so that only mex-oracle callers load it.
-    """
-    import numpy as np
-
-    n = MEX_ORACLE_BOUND
-    t = np.zeros((n, n), dtype=np.uint16)
-    for a in range(1, n):
-        row_a = t[a]
-        for b in range(1, a + 1):
-            opts = t[:a, b, None] ^ row_a[None, :b] ^ t[:a, :b]
-            # options are below n, so count n is 0 and argmin finds the first absent value
-            mex = int(np.argmin(np.bincount(opts.ravel(), minlength=n + 1)))
-            row_a[b] = mex
-            t[b, a] = mex
-    return t
-
-
-def _mex() -> np.ndarray:
-    global _mex_table
-    if _mex_table is None:
-        with _lock:
-            if _mex_table is None:
-                _mex_table = _build_mex_table()
-    return _mex_table
+    try:
+        with open(_MEX_TABLE_PATH, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read mex table {_MEX_TABLE_PATH}: {exc}") from None
+    if len(data) != MEX_ORACLE_BOUND**2 or hashlib.sha256(data).hexdigest() != _MEX_TABLE_SHA256:
+        raise ValidationError(f"mex table {_MEX_TABLE_PATH} has the wrong length or sha256")
+    return data
 
 
 def nim_mul_mex(a: int, b: int) -> int:
     """Nim product from Conway's mex definition (exhaustive scope < 256)."""
+    global _mex_table
     if not (0 <= a < MEX_ORACLE_BOUND and 0 <= b < MEX_ORACLE_BOUND):
-        raise OutOfOracleRange(
-            f"mex oracle covers values below {MEX_ORACLE_BOUND}, got {a}, {b}"
-        )
-    return int(_mex()[a, b])
+        raise OutOfOracleRange(f"mex oracle covers values below {MEX_ORACLE_BOUND}, got {a}, {b}")
+    if _mex_table is None:
+        _mex_table = _load_mex_table()
+    return _mex_table[a * MEX_ORACLE_BOUND + b]
 
 
 def _build_rec_table() -> list[list[int]]:
@@ -104,9 +92,7 @@ def _build_rec_table() -> list[list[int]]:
 def _rec_base() -> list[list[int]]:
     global _rec_table
     if _rec_table is None:
-        with _lock:
-            if _rec_table is None:
-                _rec_table = _build_rec_table()
+        _rec_table = _build_rec_table()
     return _rec_table
 
 

@@ -390,8 +390,8 @@ def test_help_lists_flags():
 
 
 def test_core_library_does_not_import_numpy():
-    # numpy is loaded only by the mex oracle; the verify suites and the
-    # order queries must run without it
+    # nothing under src/ imports numpy; the verify suites and the order
+    # queries run without it
     import os
     import subprocess
     import sys
@@ -423,7 +423,8 @@ def test_core_library_does_not_import_numpy():
 
 def test_cold_import_loads_no_dataclasses_inspect_or_numpy():
     # The value classes are plain slotted classes, so a fresh CLI run loads
-    # none of the stdlib's code-generation and introspection modules.
+    # none of the stdlib's code-generation and introspection modules; verify
+    # loads neither the expression parser nor the oracles.
     import os
     import subprocess
     import sys
@@ -435,7 +436,8 @@ def test_cold_import_loads_no_dataclasses_inspect_or_numpy():
         "import nimtower, nimtower.cli",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    assert nimtower.cli.main(['verify', 'all', '--max-level', '4']) == 1",
-        "print(sorted({'dataclasses', 'inspect', 'numpy'} & sys.modules.keys()))",
+        "unwanted = {'dataclasses', 'inspect', 'numpy', 'nimtower.expr', 'nimtower.oracle'}",
+        "print(sorted(unwanted & sys.modules.keys()))",
     ])
     src = str(Path(nimtower.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

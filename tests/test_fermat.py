@@ -250,6 +250,23 @@ def test_builtin_group_orders_match_the_checked_path(table, monkeypatch):
         assert checked == prebuilt and checked is not prebuilt
 
 
+def test_the_builtin_table_is_answered_without_comparing_entries(monkeypatch):
+    # the builtin tuple itself, which a call without a table passes, takes
+    # one identity test; only another container has its entries compared
+    from nimtower.orders import is_primitive
+
+    def refuse(*args):
+        raise AssertionError("entries compared")
+
+    monkeypatch.setattr(fermat, "is_", refuse)
+    for i in range(12):
+        assert group_order(i, fermat._BUILTIN_ENTRIES) is fermat._BUILTIN_ORDERS[i]
+    x = tower.generator("c", 3, 3) * tower.generator("c", 0, 3)
+    assert is_primitive(x) == (True, 1)
+    with pytest.raises(AssertionError, match="entries compared"):
+        group_order(3, fermat.builtin_factor_table())
+
+
 def test_a_builtin_prefix_does_not_vouch_for_a_wrong_level(table):
     t = table[:2] + [FermatFactorization(2, (3, 17))]
     with pytest.raises(ValidationError):
