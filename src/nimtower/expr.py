@@ -7,7 +7,7 @@ Grammar (whitespace insignificant):
     pow     := atom ('^' intexpr)?
     atom    := 'c'digits | 'a'digits | '0' | '1' | hex['@L'digits] | '(' sum ')'
     intexpr := intatom (('*' | '/') intatom)*      (left-associative)
-    intatom := decimal | 'N'digits | '(' intexpr ')'
+    intatom := decimal | 'N'digits | '(' intexpr ')'   (a decimal never starts 0x)
 
 Exponents are plain naturals; ``N<j>`` resolves to the Fermat number
 2^(2^j)+1 (j <= MAX_LEVEL + 1) and ``/`` must divide exactly.  Exponent
@@ -226,8 +226,8 @@ class _Parser:
         if ch == "N":
             self.pos += 1
             return FermatRef(self.digits())
-        if ch and ch in "0123456789":
-            return IntLit(self.digits())
+        if ch and ch in "0123456789" and self.text[self.pos : self.pos + 2] not in ("0x", "0X"):
+            return IntLit(self.digits())  # a hex atom is element material: see intexpr
         raise ParseError("expected an exponent atom", self.pos)
 
 

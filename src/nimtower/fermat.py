@@ -164,9 +164,9 @@ def builtin_factor_table() -> list[FermatFactorization]:
 def load_factor_table(source: str) -> list[FermatFactorization]:
     """Parse a factor-table text: one `N<j>: p1 p2 ...` entry per line.
 
-    Blank lines and `#` comments are ignored; a duplicated level is a
-    grammar error, an arithmetically wrong entry or a composite factor a
-    validation error.
+    Blank lines and lines starting with `#` are ignored; a duplicated level
+    or any other grammar error names its line, an arithmetically wrong
+    entry or a composite factor is a validation error.
     """
     entries: dict[int, FermatFactorization] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -174,15 +174,18 @@ def load_factor_table(source: str) -> list[FermatFactorization]:
         if not line or line.startswith("#"):
             continue
         head, sep, tail = line.partition(":")
-        if not sep or not head.startswith("N") or not head[1:].isdigit():
-            raise ParseError(f"line {lineno}: expected 'N<j>: <factors>', got {raw!r}")
-        j = from_decimal(head[1:])
-        if j in entries:
-            raise ParseError(f"line {lineno}: duplicate entry for N{j}")
-        parts = tail.split()
-        if not parts:
-            raise ParseError(f"line {lineno}: no factors for N{j}")
-        entries[j] = _make_entry(j, [from_decimal(p) for p in parts], check_primality=True)
+        try:
+            if not sep or not head.startswith("N") or not head[1:].isdigit():
+                raise ParseError(f"expected 'N<j>: <factors>', got {raw!r}")
+            j = from_decimal(head[1:])
+            if j in entries:
+                raise ParseError(f"duplicate entry for N{j}")
+            factors = [from_decimal(p) for p in tail.split()]
+            if not factors:
+                raise ParseError(f"no factors for N{j}")
+        except ParseError as err:
+            raise ParseError(f"line {lineno}: {err}") from None
+        entries[j] = _make_entry(j, factors, check_primality=True)
     return [entries[j] for j in sorted(entries)]
 
 

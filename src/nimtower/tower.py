@@ -256,10 +256,6 @@ def _mul_top(x: int, w: int) -> int:
     if w <= _SLICE_MAX_BITS:
         slices = _SLICES[w][1]
         return reduce(xor, map(getitem, slices, x.to_bytes(w >> 3, "little")))
-    return _mul_top_split(x, w)
-
-
-def _mul_top_split(x: int, w: int) -> int:
     half = w >> 1
     xh = x >> half
     xl = x & ((1 << half) - 1)
@@ -274,10 +270,6 @@ def _square(a: int, w: int) -> int:
     if w <= _SLICE_MAX_BITS:
         slices = _SLICES[w][0]
         return reduce(xor, map(getitem, slices, a.to_bytes(w >> 3, "little")))
-    return _square_split(a, w)
-
-
-def _square_split(a: int, w: int) -> int:
     half = w >> 1
     ah = a >> half
     if ah == 0:
@@ -441,10 +433,6 @@ _DIGITS = ((0, 0), (0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (0, 3),
            (3, 0), (0, 4), (1, 2), (0, 5), (2, 1), (0, 6), (1, 3), (0, 7))
 
 
-def _unprepared(b: int, w: int) -> int:
-    return b
-
-
 def _pow(a: int, e: int, w: int) -> int:
     """a^e: one log-table read for a nonzero base of 16 bits or fewer, an
     element of L_3 at any width w, else _powers of the one exponent."""
@@ -470,42 +458,30 @@ def _powers(a: int, exponents, w: int) -> list[int]:
         return [_pow(a, e, w) for e in exponents]
     while a >> (w >> 1) == 0:
         w >>= 1  # the powers of a stay in the half-width field
-    order, longest = (1 << w) - 1, max(exponents)
-    if longest >= order:
-        exponents = [e % order for e in exponents]
-        longest = max(exponents)
-    if _WIDE_BITS <= w <= _WIDE_MAX_BITS:
-        prepare, times = _prepare, _mul_prepared
-    else:
-        prepare, times = _unprepared, _mul
+    order = (1 << w) - 1
+    exponents = [e % order for e in exponents]
     # k by the longest exponent's length, the cut points measured at 32 to
     # 1024 bits: below 10 bits a^2 and a^3 cost more than the multiplies
     # they save.  A shorter exponent takes the same k: its table is built.
-    bits = longest.bit_length()
+    bits = max(exponents).bit_length()
     k = 1 if bits < 10 else 2 if bits < 24 else 3 if bits < 80 else 4
-    odd, factors = [a], [prepare(a, w)]
+    wide = _WIDE_BITS <= w <= _WIDE_MAX_BITS
+    times = _mul_prepared if wide else _mul
+    odd = [a]
     if k > 1:
-        square_a = prepare(_square(a, w), w)
+        square_a = _prepare(_square(a, w), w) if wide else _square(a, w)
         for _ in range((1 << (k - 1)) - 1):
             odd.append(times(odd[-1], square_a, w))
-            factors.append(prepare(odd[-1], w))
+    factors = [_prepare(b, w) for b in odd] if wide else odd
     results = []
     for e in exponents:
-        if e == 0:
-            results.append(1)
-            continue
         # Windows from the top down: each starts at the highest 1-bit left
         # and spans at most k bits, trimmed to end at a 1-bit, so its digit
         # d is odd and a^d is odd[d >> 1].  `low` is the position of a
-        # window's lowest bit: between two windows r is squared once per
-        # bit of distance, and after the last once per bit below it.
-        top = e.bit_length()
-        low = top - k if top > k else 0
-        digit = e >> low
-        e ^= digit << low
-        zeros, index = _DIGITS[digit]
-        low += zeros
-        r = odd[index]
+        # window's lowest bit: the first window sets r, between two windows
+        # r is squared once per bit of distance, and after the last once per
+        # bit below it.  With no window (e = 0) r stays None: a^0 = 1.
+        r, low = None, 0
         while e:
             above = low
             top = e.bit_length()
@@ -514,12 +490,15 @@ def _powers(a: int, exponents, w: int) -> list[int]:
             e ^= digit << low
             zeros, index = _DIGITS[digit]
             low += zeros
+            if r is None:
+                r = odd[index]
+                continue
             for _ in range(above - low):
                 r = _square(r, w)
             r = times(r, factors[index], w)
         for _ in range(low):
             r = _square(r, w)
-        results.append(r)
+        results.append(1 if r is None else r)
     return results
 
 
@@ -635,10 +614,8 @@ class TowerElement(Value):
         """The conjugate over the next subfield down: x^(2^(2^level))."""
         if self.level < 0:
             raise LevelError("frobenius_conj needs level >= 0")
-        half = self.width >> 1
-        vh = self.value >> half
-        vl = self.value & ((1 << half) - 1)
-        return TowerElement(self.level, (vh << half) ^ (vl ^ vh))
+        v = self.value
+        return TowerElement(self.level, v ^ (v >> (self.width >> 1)))
 
     def inverse(self) -> "TowerElement":
         if self.value == 0:

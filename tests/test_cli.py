@@ -147,6 +147,15 @@ def test_factor_file_composite_factor_exit_1(tmp_path, capsys):
     assert code == 1 and out == ""
 
 
+def test_factor_file_bad_factor_exit_2_names_its_line(tmp_path, capsys):
+    path = tmp_path / "typo.txt"
+    for text in ("# letter O for zero\nN4: 65537\nN5: 641 67OO417\n", "\n\nN5: 641 6700417 # note\n"):
+        path.write_text(text)
+        code, out, err = run(capsys, "factors", "--factor-file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 3: not a decimal natural number: "), err
+
+
 def test_factor_file_missing_exit_2(tmp_path, capsys):
     path = tmp_path / "no-such-file.txt"
     code, out, err = run(capsys, "order", "c2", "--factor-file", str(path))

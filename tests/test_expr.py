@@ -130,6 +130,23 @@ def test_eval_precedence_and_parens():
     assert evaluate("c1^2*3") == evaluate("c1^6")
 
 
+def test_a_hex_atom_after_an_exponent_is_a_factor():
+    # '*' after an exponent hands a hex atom back to the product, as it does c1
+    for text, grouped in (("c2^3*0x5", "(c2^3)*0x5"), ("c2^3 * 0x5@L2", "(c2^3)*(0x5@L2)"),
+                          ("c2^(3)*0x1f", "(c2^3)*0x1f"), ("c2^3*0X5", "(c2^3)*0x5"),
+                          ("c2^N1*0x5+1", "(c2^N1)*0x5+1")):
+        assert parse_expr(text) == parse_expr(grouped), text
+        assert evaluate(text) == evaluate(grouped), text
+    assert evaluate("c2^3*0x5") == evaluate("0x5*c2^3") == tower.TowerElement(2, 0x63)
+    # a plain 0 is still exponent material: c2^(3*0) = 1
+    assert parse_expr("c2^3*0") == Pow(CAtom(2), expr.IntMul(IntLit(3), IntLit(0)))
+    assert evaluate("c2^3*0") == tower.one(2)
+    for bad, pos in (("c2^0x5", 3), ("c2^(0x5)", 4), ("c2^3/0x5", 4)):
+        with pytest.raises(ParseError) as err:
+            parse_expr(bad)
+        assert err.value.position == pos, bad
+
+
 def test_eval_levels():
     assert evaluate("c3").level == 3
     assert evaluate("c3+1").level == 3

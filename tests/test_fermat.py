@@ -85,8 +85,8 @@ def test_load_factor_table():
 
 
 def test_load_rejects_bad_product():
-    with pytest.raises(ValidationError):
-        load_factor_table("N5: 641 6700418")
+    with pytest.raises(ValidationError, match=r"^N5: factor product does not equal 2\^\(2\^5\)\+1$"):
+        load_factor_table("N4: 65537\nN5: 641 6700418")
 
 
 def test_load_rejects_composite_factor():
@@ -110,11 +110,13 @@ def test_builtin_table_is_fresh_list_of_shared_entries():
 def test_load_rejects_grammar_violations():
     too_long = "9" * 5000  # more digits than int() converts
     for bad in ("N5 641", "M5: 641", "N5:", "Nx: 3", "N5: 6,41", "N²: 3",
-                f"N{too_long}: 3", f"N5: {too_long}"):
-        with pytest.raises(ParseError):
+                f"N{too_long}: 3", f"N5: {too_long}", "N5: 641 67OO417", "N5: 641 6700417 # note"):
+        with pytest.raises(ParseError, match="^line 1: "):
             load_factor_table(bad)
-    with pytest.raises(ParseError):
-        load_factor_table("N5: 641 6700417\nN5: 641 6700417")
+    with pytest.raises(ParseError, match="^line 3: duplicate"):
+        load_factor_table("N5: 641 6700417\n# again\nN5: 641 6700417")
+    with pytest.raises(ParseError, match="^line 2: not a decimal natural number: '67OO417'$"):
+        load_factor_table("N4: 65537\nN5: 641 67OO417")
 
 
 def test_merge_tables(table):

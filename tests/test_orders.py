@@ -707,6 +707,30 @@ def test_verify_all_to_level_9_computes_one_step_per_level(monkeypatch, capsys):
     assert orders._y_step.cache_info().misses == 6
 
 
+def test_verify_all_to_level_9_makes_the_pinned_kernel_calls(monkeypatch, capsys):
+    # top-level calls only: a kernel called while another runs is part of
+    # that one's work.  CI pins the same counts at level 11.
+    names = ("_square", "_mul", "_mul_prepared", "_prepare", "_mul_top", "_inv")
+    counts, depth = dict.fromkeys(names, 0), [0]
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            counts[name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return kernel(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(tower, name, counted(name, getattr(tower, name)))
+    orders._y_step.cache_clear()
+    assert cli.main(["verify", "all", "--max-level", "9"]) == 1
+    capsys.readouterr()
+    assert list(counts.values()) == [1821, 620, 207, 28, 253, 89]
+
+
 def test_the_step_memo_is_safe_under_concurrency(table, monkeypatch):
     # four threads ask 40 times each for the orders of c_i, a_i and random
     # elements at levels 4-6 through a memo small enough to evict all the

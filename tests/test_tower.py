@@ -585,8 +585,8 @@ def test_pow_examples():
         elem(0, 3).pow(0)
 
 
-def _oracle_pow(a, e):
-    """Left-to-right square-and-multiply over nim_mul_rec, unreduced."""
+def _oracle_pow(a, e, w=None):
+    """Left-to-right square-and-multiply over nim_mul_rec, unreduced (w unused)."""
     from nimtower.oracle import nim_mul_rec
 
     r = 1
@@ -674,23 +674,26 @@ def _window_exponents(bits, rng):
 
 def test_pow_sliding_windows_match_plain(monkeypatch):
     # exponents one bit either side of each cut point, at every level where
-    # they are not reduced; the width k shows in the fixed factors a power
-    # prepares: a^2 when k > 1, and the 2^(k-1) odd powers a .. a^(2^k - 1)
+    # they are not reduced; the width k shows in the table of odd powers,
+    # a^3 .. a^(2^k - 1) each one multiply by a^2 (prepared on the wide path)
     rng = random.Random(44)
-    prepared = []
-    for name in ("_prepare", "_unprepared"):
+    factors = []
+    for name in ("_mul", "_mul_prepared"):
         kernel = getattr(tower, name)
-        monkeypatch.setattr(tower, name, lambda b, w, f=kernel: prepared.append(w) or f(b, w))
+        monkeypatch.setattr(tower, name, lambda x, b, w, f=kernel: factors.append(b) or f(x, b, w))
     for level in (4, 5, 6, 7, 8):
         w = tower.width_of(level)
         order = (1 << w) - 1
         for a in (rng.getrandbits(w) | 1 << (w - 1), 1 << (w - 1) | 1):
+            square = tower._square(a, w)
+            if w >= tower._WIDE_BITS:
+                square = tower._prepare(square, w)
             for bits in [b for cut in WINDOW_CUTS for b in (cut - 1, cut, cut + 1) if 9 <= b < w]:
                 k = _window_bits(bits)
                 for e in _window_exponents(bits, rng):
-                    prepared.clear()
+                    factors.clear()
                     got = tower._pow(a, e, w)
-                    assert prepared == [w] * ((k > 1) + (1 << (k - 1))), (level, bits, k)
+                    assert factors.count(square) == (1 << (k - 1)) - 1, (level, bits, k)
                     assert got == _pow_plain(a, e, w), (level, hex(a), bits, hex(e))
             for e in (order, order + 1, 2 * order + 77, (1 << 200) - 1, (1 << 200) + 1,
                       (1 << 300) + 5):
@@ -738,6 +741,24 @@ def test_shared_table_powers_match_separate_powers(monkeypatch):
             tower._powers(bases[0], (e80, e23, e9), w)
             assert prepared == [w] * 9
     assert tower._powers(0, (0, 0, 7), 64) == [1, 1, 0]
+
+
+def test_powers_whose_running_value_passes_through_1():
+    # y = conj(x)/x has order dividing N_j at level j, far below 2^w - 1, so
+    # y^(m*N_j*2^t + r) may reach y^(m*N_j) = 1 between two windows and go
+    # on from it (y^(N_j*2^16) does at every level): 1 is a value there, not
+    # the mark of a power that has no window yet
+    rng = random.Random(48)
+    for level in range(4, 11):
+        w = tower.width_of(level)
+        n = fermat.fermat_number(level)
+        y = tower.norm_split_values(rng.getrandbits(w) | 1 << (w - 1), w)[0]
+        exponents = [n, n * 5 + 2, (3 * n << 4) + 5, (7 * n << 9) + 300, n << 16]
+        exponents.append((11 * n << 13) + rng.getrandbits(13))
+        want = [(_oracle_pow if w <= 128 else _pow_plain)(y, e, w) for e in exponents]
+        assert want[0] == 1 and want[1] == tower._square(y, w), level
+        assert tower._powers(y, exponents, w) == want, level
+        assert [tower._pow(y, e, w) for e in exponents] == want, level
 
 
 def test_pow_windowed_path_matches_plain():
