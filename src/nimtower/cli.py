@@ -189,14 +189,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
-
 def parse_nat(s: str) -> int:
     """Parse a natural number: decimal, or hex with a 0x prefix."""
     if s[:2].lower() == "0x":
         digits = s[2:]
-        if not digits or any(ch not in _HEX_DIGITS for ch in digits):
+        if not digits or not tower._HEX_DIGITS.issuperset(digits):
             raise ParseError(f"not a hex natural number: {s!r}")
         return int(digits, 16)
     return fermat.from_decimal(s)

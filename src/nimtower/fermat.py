@@ -18,7 +18,6 @@ one fail with MissingFactorization.
 
 from __future__ import annotations
 
-import random
 from math import gcd, prod
 from operator import is_
 
@@ -220,6 +219,8 @@ def is_probable_prime(n: int, rounds: int = 64, seed: int = 0) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
+    import random
+
     rng = random.Random(f"miller-rabin/{seed}/{n % (1 << 64)}")
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)

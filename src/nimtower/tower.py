@@ -24,9 +24,13 @@ is a thin immutable wrapper that adds level bookkeeping.
 Base cases: log/antilog tables of the 65536-element field (width 16), and
 its maps "times a_3" (A) and "squared", serve every width up to 16, each
 smaller field being a subfield with the same values: arrays of 16-bit
-entries (0.65 MB in all), which stay in cache under random reads, built at
-import with no Python step per entry but the loop that inverts the antilog
-table.  Squaring and _mul_top (times the top monomial) are F2-linear at
+entries (0.65 MB in all), which stay in cache under random reads.  They are
+package data, leaf16.bin, read at import straight into the arrays and
+refused unless the file has the pinned length and CRC-32; the antilog
+table is generated by c3*c0 (value 0x200) and doubled, so a sum of two
+logs needs no reduction.  tests/test_tower.py regenerates the file byte for
+byte from the recursive nimber oracle, with the full-order certificate of
+c3*c0.  Squaring and _mul_top (times the top monomial) are F2-linear at
 every width too, so from 32 to 256 bits each is one byte-sliced table:
 slice k holds the images of the 256 values of byte k, and a value maps to
 the XOR of one entry per byte; _build_slices makes them at import from the
@@ -67,9 +71,9 @@ refuse any other level before allocating anything of its size.
 
 from __future__ import annotations
 
-import random
-import re
+import os
 import sys
+import zlib
 from array import array
 from functools import reduce
 from math import gcd
@@ -80,12 +84,13 @@ from .errors import (
     LevelMismatch,
     NotInField,
     ParseError,
+    ValidationError,
     ZeroInverse,
     ZeroToZero,
 )
 from .value import Value
 
-# Width of the log/antilog field.  Fixed: the table builder and the
+# Width of the log/antilog field.  Fixed: the table file and the
 # straight-line width-64 product split values into 16-bit pieces.
 LOG_TABLE_BITS = 16
 # Highest level accepted anywhere: widths, generators, elements, and (via
@@ -97,9 +102,6 @@ LOG_TABLE_BITS = 16
 # shared 2-vCPU machine one random level-15 multiply took 0.29 s, and a
 # level-20 one 258 s before the wide product path.
 MAX_LEVEL = 20
-# Generator used to build the 16-bit log tables: c3*c0, primitive in L_3.
-_LOG_GENERATOR = 0x200
-
 # Byte-slice tables of (_square, _mul_top) by width, 32.._SLICE_MAX_BITS,
 # filled at import below _build_slices.  Wider tables cost megabytes and
 # measured no faster: with the width-16 tables as arrays, 512-bit slices
@@ -118,79 +120,36 @@ def _span(images: list[int]) -> list[int]:
     return table
 
 
-def _array16(data: bytes) -> array:
-    """Little-endian 16-bit entries as an array: the one place that knows byte order."""
-    table = array("H", data)
+# leaf16.bin holds _EXP16 (g^i for i < 2*65535, g = c3*c0), _LOG16 (entry
+# 0 unused, 0), _MUL_TOP16 and _SQ16, in that order, each as little-endian
+# 16-bit entries: 655356 bytes.  CRC-32 and not sha256: hashlib would load
+# OpenSSL into every import for a check that guards against damage only.
+_LEAF16_PATH = os.path.join(os.path.dirname(__file__), "leaf16.bin")
+_LEAF16_CRC32 = 0xFDAEE17E
+
+
+def _load_leaf16() -> tuple[array, array, array, array]:
+    """The width-16 tables, read from leaf16.bin straight into their arrays;
+    ValidationError if the file cannot be read or is not the pinned bytes."""
+    tables = tuple(array("H", [0]) * n for n in (2 * 65535, 65536, 65536, 65536))
+    try:
+        with open(_LEAF16_PATH, "rb") as fh:
+            sizes = [fh.readinto(table) for table in tables]
+            extra = fh.read(1)
+    except OSError as exc:
+        raise ValidationError(f"cannot read width-16 tables {_LEAF16_PATH}: {exc}") from None
+    crc = 0
+    for table in tables:
+        crc = zlib.crc32(table, crc)
+    if sizes != [2 * len(table) for table in tables] or extra or crc != _LEAF16_CRC32:
+        raise ValidationError(f"width-16 tables {_LEAF16_PATH} have the wrong length or crc32")
     if sys.byteorder == "big":
-        table.byteswap()
-    return table
+        for table in tables:
+            table.byteswap()
+    return tables
 
 
-def _span16(images: list[int]) -> array:
-    """_span of 16-bit images as an array, in one int doubled per image (slot x = entry x)."""
-    table, ones = 0, 1
-    for n, image in enumerate(images):
-        table |= (table ^ image * ones) << (16 << n)
-        ones |= ones << (16 << n)
-    return _array16(table.to_bytes(2 << len(images), "little"))
-
-
-def _mul_plain(a: int, b: int, w: int) -> int:
-    """The product recursion with no table, for building the tables."""
-    if w == 1:
-        return a & b
-    half = w >> 1
-    mask = (1 << half) - 1
-    ah, al, bh, bl = a >> half, a & mask, b >> half, b & mask
-    hh, ll = _mul_plain(ah, bh, half), _mul_plain(al, bl, half)
-    mid = _mul_plain(ah ^ al, bh ^ bl, half)
-    return ((mid ^ ll) << half) ^ _mul_plain(hh, 1 << (half - 1), half) ^ ll
-
-
-def _times(c: int) -> tuple[list[int], list[int]]:
-    """x -> x*c on the width-16 field as two byte tables: x*c = lo[x & 255] ^ hi[x >> 8]."""
-    images = [_mul_plain(1 << k, c, LOG_TABLE_BITS) for k in range(LOG_TABLE_BITS)]
-    return _span(images[:8]), _span(images[8:])
-
-
-def _build_tables() -> tuple[array, array, array, array]:
-    # Antilog for the width-16 field, generated by g = c3*c0, in 256 blocks:
-    # block j holds g^(256j + r) for r < 256.  Block 0 is a walk by times g;
-    # each next block is the last times h = g^256, the low and high bytes of
-    # all its entries mapped at once.
-    order = (1 << LOG_TABLE_BITS) - 1
-    lo, hi = _times(_LOG_GENERATOR)
-    powers = [1]
-    for _ in range(256):
-        powers.append(lo[powers[-1] & 255] ^ hi[powers[-1] >> 8])
-    maps = [bytes(v >> s & 255 for v in t) for t in _times(powers.pop()) for s in (0, 8)]
-    block = bytes(x & 255 for x in powers) + bytes(x >> 8 for x in powers)
-    data = bytearray(2 << LOG_TABLE_BITS)
-    for j in range(0, len(data), 512):
-        lo8, hi8 = block[:256], block[256:]
-        data[j:j + 512:2], data[j + 1:j + 512:2] = lo8, hi8
-        x = int.from_bytes(lo8.translate(maps[0]) + lo8.translate(maps[1]), "little")
-        x ^= int.from_bytes(hi8.translate(maps[2]) + hi8.translate(maps[3]), "little")
-        block = x.to_bytes(512, "little")
-    ring = _array16(data)
-    # g has full order iff g^65535 = 1 and g^(65535/p) != 1 for p in 3*5*17*257
-    if ring[order] != 1 or 1 in [ring[order // p] for p in (3, 5, 17, 257)]:
-        raise AssertionError("log-table generator does not have full order")
-    exp = ring[:order] * 2  # doubled: exponent sums need no reduction mod 65535
-    log = array("H", bytes(2 << LOG_TABLE_BITS))
-    for i, x in enumerate(ring[:order]):
-        log[x] = i
-    # "Times a_3" and "squared" are F2-linear: spans of their basis images,
-    # read off the logs.  As lists of int objects the four tables took
-    # 6.1 MB, and each leaf read chased a pointer out of cache.
-    log_top = log[1 << (LOG_TABLE_BITS - 1)]
-    basis_logs = [log[1 << k] for k in range(LOG_TABLE_BITS)]
-    mul_top16 = _span16([exp[lv + log_top] for lv in basis_logs])
-    sq16 = _span16([exp[2 * lv] for lv in basis_logs])
-    return exp, log, mul_top16, sq16
-
-
-_EXP16, _LOG16, _MUL_TOP16, _SQ16 = _build_tables()
+_EXP16, _LOG16, _MUL_TOP16, _SQ16 = _load_leaf16()
 
 
 def leaf_order(v: int) -> int:
@@ -281,14 +240,19 @@ def _square(a: int, w: int) -> int:
 def _build_slices() -> None:
     """Fill _SLICES, narrowest first, each slice the span of 8 basis images.
     By the half-width split, bit j < w/2 keeps its half-width image s (times
-    the top: s << w/2), and bit j + w/2 gets (s << w/2) ^ _mul_top(s, w/2)."""
+    the top: s << w/2), and bit j + w/2 gets (s << w/2) ^ _mul_top(s, w/2).
+    So the square slices of the low bytes are the half width's, shared."""
     sq, top = [_SQ16[1 << j] for j in range(16)], [_mul_top(1 << j, 16) for j in range(16)]
     half = 16
     while half < _SLICE_MAX_BITS:
+        low = _SLICES[half][0] if half in _SLICES else []
         sq = sq + [(s << half) ^ _mul_top(s, half) for s in sq]
         top = [t << half for t in top] + [(t << half) ^ _mul_top(t, half) for t in top]
         half <<= 1
-        _SLICES[half] = tuple([_span(images[k:k + 8]) for k in range(0, half, 8)] for images in (sq, top))
+        _SLICES[half] = (
+            low + [_span(sq[k:k + 8]) for k in range(8 * len(low), half, 8)],
+            [_span(top[k:k + 8]) for k in range(0, half, 8)],
+        )
 
 
 _build_slices()
@@ -669,11 +633,12 @@ def generator(kind: str, index: int, level: int) -> TowerElement:
     return TowerElement(level, 1 << bit)
 
 
-_HEX_RE = re.compile(r"0x[0-9a-fA-F]+\Z")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def parse_hex(s: str, level: int) -> TowerElement:
-    if not _HEX_RE.match(s):
+    """A literal 0x<hex digits>, lowercase x, as an element of `level`."""
+    if s[:2] != "0x" or len(s) < 3 or not _HEX_DIGITS.issuperset(s[2:]):
         raise ParseError(f"not a hex element literal: {s!r}")
     value = int(s, 16)
     if value >> width_of(level):
@@ -704,5 +669,7 @@ def format_element(x: TowerElement, style: str = "hex") -> str:
 
 def random_element(level: int, seed: int) -> TowerElement:
     """Deterministic pseudo-uniform element for a (level, seed) pair."""
+    import random
+
     rng = random.Random(f"tower/{level}/{seed}")
     return TowerElement(level, rng.getrandbits(width_of(level)))

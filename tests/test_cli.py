@@ -455,3 +455,30 @@ def test_cold_import_loads_no_dataclasses_inspect_or_numpy():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
     assert out.stdout == "[]\n"
+
+
+def test_import_loads_no_re_random_or_hashlib():
+    # parse_hex checks a digit set, random is imported where a seed is
+    # drawn, and leaf16.bin is pinned by CRC-32, not by sha256 through
+    # OpenSSL.  Without site (-S), which loads re and random itself, the
+    # modules that `import nimtower` adds are its own.
+    import os
+    import subprocess
+    import sys
+
+    import nimtower
+
+    probe = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import nimtower",
+        "added = sys.modules.keys() - before",
+        "print('nimtower.tower' in added, sorted({'re', 'random', 'hashlib', '_hashlib'} & added))",
+    ])
+    src = str(Path(nimtower.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "True []\n"

@@ -6,6 +6,7 @@ the systematic cross-checks.
 """
 
 import random
+import struct
 
 import pytest
 
@@ -15,6 +16,7 @@ from nimtower.errors import (
     LevelMismatch,
     NotInField,
     ParseError,
+    ValidationError,
     ZeroInverse,
     ZeroToZero,
 )
@@ -203,17 +205,81 @@ def test_kernels_below_width16_read_the_logs(w):
         assert _mul_top(x, w) == nim_mul_rec(x, 1 << (w - 1)), (w, x)
 
 
-@pytest.mark.parametrize("p", [3, 5, 17, 257])
-def test_a_log_generator_of_short_order_is_refused(monkeypatch, p):
-    # g^p, g = c3*c0, has order 65535/p: it lacks the prime p of
-    # 65535 = 3*5*17*257, and the build raises before replacing any table
+def _leaf16_from_oracle() -> bytes:
+    """leaf16.bin's bytes from the recursive nimber oracle alone: the walk
+    by g = c3*c0 with its full-order certificate, the inverted walk, and
+    the top products and squares entry by entry."""
+    from nimtower.oracle import nim_mul_rec
+
+    order = 65535
+    ring = [1]
+    for _ in range(order):
+        ring.append(nim_mul_rec(ring[-1], 0x200))
+    # g has full order iff g^65535 = 1 and g^(65535/p) != 1 for p in 3*5*17*257
+    assert ring[order] == 1 and 1 not in [ring[order // p] for p in (3, 5, 17, 257)]
+    log = [0] * (1 << 16)
+    for i, x in enumerate(ring[:order]):
+        log[x] = i
+    values = range(1 << 16)
+    tables = (
+        ring[:order] * 2,  # doubled: a sum of two logs needs no reduction
+        log,
+        [nim_mul_rec(x, 1 << 15) for x in values],
+        [nim_mul_rec(x, x) for x in values],
+    )
+    return b"".join(struct.pack(f"<{len(t)}H", *t) for t in tables)
+
+
+def test_leaf16_file_regenerates_from_the_recursive_oracle():
+    with open(tower._LEAF16_PATH, "rb") as fh:
+        assert fh.read() == _leaf16_from_oracle()
+
+
+def _flip(entry):
+    """Damage: the low bit of 16-bit entry `entry` of leaf16.bin flipped."""
+    return lambda data: data[:2 * entry] + bytes([data[2 * entry] ^ 1]) + data[2 * entry + 1:]
+
+
+@pytest.mark.parametrize("damage", [
+    _flip(5),  # _EXP16[5]
+    _flip(131070 + 0x1234),  # _LOG16[0x1234]
+    _flip(196606 + 0x8000),  # _MUL_TOP16[0x8000]
+    _flip(262142 + 0xBEEF),  # _SQ16[0xBEEF]
+    lambda data: data[:-1],
+    lambda data: data + b"\0",
+    None,
+], ids=["exp-entry", "log-entry", "top-entry", "square-entry", "truncated", "one-byte-extra", "missing"])
+def test_a_damaged_leaf16_file_is_refused(damage, tmp_path, monkeypatch):
     names = ("_EXP16", "_LOG16", "_MUL_TOP16", "_SQ16")
     before = [getattr(tower, name) for name in names]
-    monkeypatch.setattr(tower, "_LOG_GENERATOR", tower._EXP16[p])
-    with pytest.raises(AssertionError, match="full order"):
-        tower._build_tables()
+    bad = tmp_path / "leaf16.bin"
+    if damage is not None:
+        with open(tower._LEAF16_PATH, "rb") as fh:
+            bad.write_bytes(damage(fh.read()))
+    monkeypatch.setattr(tower, "_LEAF16_PATH", str(bad))
+    with pytest.raises(ValidationError, match="leaf16.bin"):
+        tower._load_leaf16()
     assert all(getattr(tower, n) is t for n, t in zip(names, before))
     assert elem(0x1234, 3) * elem(0x8000, 3) == elem(tower._MUL_TOP16[0x1234], 3)
+
+
+def test_a_damaged_leaf16_file_fails_the_import(tmp_path):
+    import os
+    import shutil
+    import subprocess
+    import sys
+
+    package = tmp_path / "nimtower"
+    shutil.copytree(os.path.dirname(tower.__file__), package, ignore=shutil.ignore_patterns("__pycache__"))
+    table = package / "leaf16.bin"
+    table.write_bytes(table.read_bytes()[:-2])
+    out = subprocess.run(
+        [sys.executable, "-c", "import nimtower"],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
+    )
+    assert out.returncode == 1
+    assert "nimtower.errors.ValidationError: width-16 tables" in out.stderr
+    assert "leaf16.bin have the wrong length or crc32" in out.stderr
 
 
 @pytest.mark.parametrize("w", [32, 64, 128, 256])
@@ -424,12 +490,18 @@ def test_tables_are_built_at_import():
 
     src = os.path.dirname(os.path.dirname(tower.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import nimtower.tower as t; print(len(t._EXP16), sorted(t._SLICES))"
+    # the square slices of a width's low bytes are the half width's lists
+    probe = "\n".join([
+        "import nimtower.tower as t",
+        "print(len(t._EXP16), sorted(t._SLICES))",
+        "sq = {w: t._SLICES[w][0] for w in t._SLICES}",
+        "print(all(sq[w][k] is sq[w // 2][k] for w in (64, 128, 256) for k in range(w // 16)))",
+    ])
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
     )
-    assert out.stdout == "131070 [32, 64, 128, 256]\n"
+    assert out.stdout == "131070 [32, 64, 128, 256]\nTrue\n"
 
 
 # -- square ------------------------------------------------------------------
@@ -871,7 +943,11 @@ def test_parse_hex():
     assert x.value == 0x15 and x.level == 2
     with pytest.raises(NotInField):
         tower.parse_hex("0x100", 1)
-    for bad in ("15", "0x", "0xZZ", "x15", ""):
+    assert tower.parse_hex("0xaB", 3).value == 0xAB
+    # a lowercase 0x, at least one digit and nothing else: int(s, 16) alone
+    # would take the prefix 0X, underscores, signs and surrounding space
+    bad_literals = ("15", "0x", "0xZZ", "x15", "", "0X15", "0x1_5", "0x-1", "-0x1", " 0x15", "0x15 ", "0x15\n")
+    for bad in bad_literals:
         with pytest.raises(ParseError):
             tower.parse_hex(bad, 3)
 
