@@ -291,39 +291,34 @@ def validate(
 
 
 class FactoredOrder(Value):
-    """A positive integer carried together with its prime factorization,
-    a tuple of (prime, exponent) pairs.  The constructor refuses an
-    exponent that is not an int >= 1, and a factor that fails Miller-Rabin,
+    """A positive integer and its prime factors, a strictly increasing
+    tuple of ints: every order the tower builds is squarefree, the N_j
+    being pairwise coprime.  The constructor refuses another shape, a
+    product other than the value, and a factor that fails Miller-Rabin,
     skipping the builtin table's primes."""
 
     __slots__ = ("value", "factors")
 
-    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
-        if any(type(e) is not int or e < 1 for _, e in factors):
-            raise ValidationError("factor exponents must be ints >= 1")
-        if prod(p**e for p, e in factors) != value:
+    def __init__(self, value: int, factors: tuple[int, ...]):
+        if (type(value), type(factors)) != (int, tuple) or any(type(p) is not int for p in factors):
+            raise ValidationError("a factored order is an int and a tuple of int factors")
+        if prod(factors) != value:
             raise ValidationError("factored value does not match its factors")
-        primes = [p for p, _ in factors]
-        if primes != sorted(set(primes)):
+        if list(factors) != sorted(set(factors)):
             raise ValidationError("factors must be strictly increasing primes")
-        composite = [p for p in primes if p not in _BUILTIN_PRIMES and not is_probable_prime(p)]
+        composite = [p for p in factors if p not in _BUILTIN_PRIMES and not is_probable_prime(p)]
         if composite:
             raise ValidationError(f"factor {composite[0]} is not prime")
         super().__init__(value, factors)
 
     @classmethod
-    def from_prime_powers(cls, pairs: dict[int, int]) -> "FactoredOrder":
-        order = object.__new__(cls)  # sorted distinct primes and their product: valid as built
-        object.__setattr__(order, "factors", tuple(sorted((p, e) for p, e in pairs.items() if e > 0)))
-        object.__setattr__(order, "value", prod(p**e for p, e in order.factors))
+    def of_primes(cls, primes: tuple[int, ...]) -> "FactoredOrder":
+        order = object.__new__(cls)  # strictly increasing primes: valid as built
+        Value.__init__(order, prod(primes), primes)
         return order
 
     def format(self) -> str:
-        if not self.factors:
-            return "1"
-        return " * ".join(
-            str(p) if e == 1 else f"{p}^{e}" for p, e in self.factors
-        )
+        return " * ".join(map(str, self.factors)) or "1"
 
 
 def group_order(i: int, table: list[FermatFactorization]) -> FactoredOrder:
@@ -340,7 +335,7 @@ def group_order(i: int, table: list[FermatFactorization]) -> FactoredOrder:
     ):
         return _BUILTIN_ORDERS[i]
     primes = sorted(p for j in range(i + 1) for p in factorization(table, j).factors)
-    return FactoredOrder((1 << (1 << (i + 1))) - 1, tuple((p, 1) for p in primes))
+    return FactoredOrder((1 << (1 << (i + 1))) - 1, tuple(primes))
 
 
 # Built at import through the checked path: while it is empty, group_order

@@ -65,7 +65,7 @@ _NOT_AN_EXPONENT = "x^n != 1 for the claimed group order; wrong factor table or 
 
 # The orders the log-table leaf reads: one per divisor d of 65535 = 3*5*17*257.
 _LEAF_ORDERS = {
-    d: FactoredOrder.from_prime_powers({p: 1 for p in (3, 5, 17, 257) if d % p == 0})
+    d: FactoredOrder.of_primes(tuple(p for p in (3, 5, 17, 257) if d % p == 0))
     for d in (1, 3, 5, 15, 17, 51, 85, 255, 257, 771, 1285, 3855, 4369, 13107, 21845, 65535)
 }
 
@@ -202,13 +202,12 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
     Descends from x's level one norm at a time.  At level j, y = conj(x)/x
     = x^(2^(w/2)-1) carries the part of the order that divides N_j: with
     g the product of n's primes dividing N_j, that part d is the product
-    of the p with y^(g/p) != 1, each prime read once whatever its
-    multiplicity in n.  x^n = 1 exactly when y^g = 1 at every level, which
-    is free when N_j divides g, so a prime N_j costs no exponentiation.
-    The norm x*conj(x) = x^(N_j) carries the rest, down to 16 bits, where
-    the log table picks its factored order, one of 16 prebuilt, the result
-    when every d is 1.  The result o satisfies x^o = 1 and x^(o/p) != 1
-    for every prime p | o.
+    of the p with y^(g/p) != 1.  x^n = 1 exactly when y^g = 1 at every
+    level, which is free when N_j divides g, so a prime N_j costs no
+    exponentiation.  The norm x*conj(x) = x^(N_j) carries the rest, down to
+    16 bits, where the log table picks its factored order, one of 16
+    prebuilt, the result when every d is 1.  The result o satisfies
+    x^o = 1 and x^(o/p) != 1 for every prime p | o.
     """
     if x.value == 0:
         raise ZeroElement("zero has no multiplicative order")
@@ -216,7 +215,7 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
     order = 1
     while v >> LOG_TABLE_BITS:
         n_j = fermat_number(level)
-        v, d = _down_step(v, level, tuple(p for p, _ in n.factors if n_j % p == 0))
+        v, d = _down_step(v, level, tuple(p for p in n.factors if n_j % p == 0))
         order *= d
         level -= 1
     rest = leaf_order(v)
@@ -225,7 +224,7 @@ def multiplicative_order(x: TowerElement, n: FactoredOrder) -> FactoredOrder:
     if order == 1:
         return _LEAF_ORDERS[rest]
     order *= rest
-    return FactoredOrder.from_prime_powers({p: 1 for p, _ in n.factors if order % p == 0})
+    return FactoredOrder.of_primes(tuple(p for p in n.factors if order % p == 0))
 
 
 def is_primitive(

@@ -201,7 +201,7 @@ def test_factorization_lookup(table):
 def test_group_order(table):
     go = group_order(2, table)
     assert go.value == 255
-    assert go.factors == ((3, 1), (5, 1), (17, 1))
+    assert go.factors == (3, 5, 17)
     assert group_order(0, table).value == 3
     with pytest.raises(MissingFactorization):
         group_order(12, table)
@@ -243,7 +243,7 @@ def test_builtin_group_orders_match_the_checked_path(table, monkeypatch):
 
     monkeypatch.setattr(fermat, "is_probable_prime", refuse)
     with pytest.raises(AssertionError, match="Miller-Rabin"):
-        FactoredOrder(7, ((7, 1),))
+        FactoredOrder(7, (7,))
     copies = [FermatFactorization(e.j, e.factors) for e in table]
     for i in range(12):
         prebuilt = group_order(i, fermat.builtin_factor_table())
@@ -277,31 +277,32 @@ def test_a_builtin_prefix_does_not_vouch_for_a_wrong_level(table):
 
 
 def test_factored_order_invariants():
-    fo = FactoredOrder.from_prime_powers({5: 1, 3: 2})
-    assert fo.value == 45
-    assert fo.factors == ((3, 2), (5, 1))
-    assert fo.format() == "3^2 * 5"
-    assert fo == FactoredOrder(45, ((3, 2), (5, 1))) == FactoredOrder.from_prime_powers({3: 2, 7: 0, 5: 1})
-    assert FactoredOrder.from_prime_powers({}).format() == "1"
-    with pytest.raises(ValidationError):
-        FactoredOrder(10, ((3, 1),))
-    with pytest.raises(ValidationError):
-        FactoredOrder(15, ((5, 1), (3, 1)))
-    with pytest.raises(ValidationError, match="factor 4 is not prime"):
-        FactoredOrder(4, ((4, 1),))
-    with pytest.raises(ValidationError, match="factor 1 is not prime"):
-        FactoredOrder(1, ((1, 1),))
-    # an element of order 3 would find no prime 3 in this exponent
-    with pytest.raises(ValidationError, match="factor 15 is not prime"):
-        FactoredOrder(65535, ((15, 1), (17, 1), (257, 1)))
-    assert FactoredOrder(7 * 65535, ((3, 1), (5, 1), (7, 1), (17, 1), (257, 1))).value == 7 * 65535
-    # 3^-1 * q rounds to 2^60 as a float; exponents must be ints >= 1
-    for value, factors in [
-        (2**60, ((3, -1), (3458764513820541091, 1))),
-        (1, ((7, 0),)),
-        (2, ((2, 1.0),)),
+    fo = FactoredOrder.of_primes((3, 5, 17))
+    assert fo.value == 255
+    assert fo.factors == (3, 5, 17)
+    assert fo.format() == "3 * 5 * 17"
+    assert fo == FactoredOrder(255, (3, 5, 17))
+    assert FactoredOrder.of_primes(()).format() == FactoredOrder(1, ()).format() == "1"
+    assert FactoredOrder(7 * 65535, (3, 5, 7, 17, 257)).value == 7 * 65535
+    # every wrong shape is a ValidationError, never a TypeError
+    for value, factors, message in [
+        (10, (3,), "does not match"),
+        (15, (5, 3), "strictly increasing"),
+        (45, (3, 3, 5), "strictly increasing"),
+        (45, ((3, 2), (5, 1)), "tuple of int factors"),
+        (15, [3, 5], "tuple of int factors"),
+        (15, 15, "tuple of int factors"),
+        (3, (True, 3), "tuple of int factors"),
+        (15, (3.0, 5), "tuple of int factors"),
+        (15.0, (3, 5), "an int and"),
+        (True, (), "an int and"),
+        (3, (1, 3), "factor 1 is not prime"),
+        (4, (4,), "factor 4 is not prime"),
+        (1, (1,), "factor 1 is not prime"),
+        # an element of order 3 would find no prime 3 in this exponent
+        (65535, (15, 17, 257), "factor 15 is not prime"),
     ]:
-        with pytest.raises(ValidationError, match="exponents must be ints >= 1"):
+        with pytest.raises(ValidationError, match=message):
             FactoredOrder(value, factors)
 
 

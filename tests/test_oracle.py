@@ -1,6 +1,8 @@
 """Tests for the two independent nimber oracles and the cross-checker."""
 
+import contextlib
 import hashlib
+import io
 import os
 import random
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nimtower
-from nimtower import oracle, tower
+from nimtower import cli, oracle, orders, tower
 from nimtower.errors import LevelError, OutOfOracleRange, ValidationError
 from nimtower.oracle import MEX_ORACLE_BOUND, nim_mul_mex, nim_mul_rec
 
@@ -180,3 +182,76 @@ def test_cross_check_sampled_levels():
 def test_cross_check_level_bound():
     with pytest.raises(LevelError):
         oracle.cross_check(7)
+
+
+# The tower's product kernels as the recursive oracle computes them; a
+# prepared factor is the factor itself.
+_ORACLE_KERNELS = {
+    "_mul": lambda a, b, w: nim_mul_rec(a, b),
+    "_square": lambda a, w: nim_mul_rec(a, a),
+    "_mul_top": lambda x, w: nim_mul_rec(x, 1 << (w - 1)),
+    "_mul_prepared": lambda a, b, w: nim_mul_rec(a, b),
+    "_prepare": lambda b, w: b,
+}
+
+
+def _kernel_body_ran(*args):
+    raise AssertionError("a production kernel body ran during the oracle replay")
+
+
+def replay_verify_all(max_level: int) -> tuple[int, str, int]:
+    """Run `verify all --max-level max_level` in process with the tower's
+    product kernels replaced by nim_mul_rec: (exit code, stdout, oracle
+    products).  The production kernels' bodies are swapped for one that
+    raises AssertionError, so a kernel reached through a reference bound
+    before the patch fails the replay instead of passing it silently.
+    The descent-step memo is cleared first, so every step is recomputed."""
+    products = [0]
+
+    def counted(kernel):
+        def run(*args):
+            products[0] += 1
+            return kernel(*args)
+
+        return run
+
+    originals = {name: getattr(tower, name) for name in _ORACLE_KERNELS}
+    codes = {name: kernel.__code__ for name, kernel in originals.items()}
+    try:
+        for name, kernel in originals.items():
+            kernel.__code__ = _kernel_body_ran.__code__
+            replacement = _ORACLE_KERNELS[name]
+            setattr(tower, name, replacement if name == "_prepare" else counted(replacement))
+        orders._y_step.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = cli.main(["verify", "all", "--max-level", str(max_level)])
+    finally:
+        for name, kernel in originals.items():
+            kernel.__code__ = codes[name]
+            setattr(tower, name, kernel)
+    return rc, out.getvalue(), products[0]
+
+
+def test_verify_all_to_level_8_replays_byte_identically_through_the_recursive_oracle():
+    """A whole report derived a second way: every product, square, top
+    multiply and prepared multiply of the run goes through nim_mul_rec,
+    which shares no code with the kernels.  The leaf tables (the
+    log-table powers and orders below 2^16, _inv's base) and the structure
+    of _inv, norm_value and the power loop stay in the loop;
+    tests/test_tower.py's regeneration of leaf16.bin from nim_mul_rec
+    covers the tables."""
+    orders._y_step.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(["verify", "all", "--max-level", "8"])
+    replayed_rc, replayed, products = replay_verify_all(8)
+    assert (replayed_rc, replayed) == (rc, out.getvalue())
+    assert rc == 1 and products > 2000
+
+
+def test_an_oracle_replay_refuses_a_kernel_bound_before_the_patch(monkeypatch):
+    # orders' kernel wrappers look the kernels up at call time; an alias
+    # bound at import would bypass the replay, and must fail it
+    mul = tower._mul
+    monkeypatch.setattr(orders, "mul_values", lambda a, b, width: mul(a, b, max(width, 1)))
+    with pytest.raises(AssertionError, match="production kernel body ran"):
+        replay_verify_all(4)

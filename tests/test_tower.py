@@ -155,7 +155,7 @@ def _base_case_values(w, rng):
 
 
 def test_width16_tables_match_recursive_oracle():
-    # exhaustive: the span-built tables against an oracle that shares no code
+    # exhaustive: the tables read from leaf16.bin against an oracle that shares no code
     from nimtower.oracle import nim_mul_rec
 
     values = range(1 << 16)

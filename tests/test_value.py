@@ -19,7 +19,7 @@ from nimtower.value import Value
 SAMPLES = [
     (TowerElement, (4, 0x1234), "0x1234@L4"),
     (FermatFactorization, (2, (17,)), "FermatFactorization(j=2, factors=(17,))"),
-    (FactoredOrder, (45, ((3, 2), (5, 1))), "FactoredOrder(value=45, factors=((3, 2), (5, 1)))"),
+    (FactoredOrder, (15, (3, 5)), "FactoredOrder(value=15, factors=(3, 5))"),
     (AlphaChain, (3, "c", (257, 17, 5)), "AlphaChain(i=3, base='c', alphas=(257, 17, 5))"),
     (CheckRecord, ("thm1.i02", True, "x"), "CheckRecord(check_id='thm1.i02', ok=True, detail='x')"),
     (
@@ -134,18 +134,18 @@ def test_validating_constructors():
     with pytest.raises(LevelError):
         TowerElement(21, 0)
     with pytest.raises(ValidationError):
-        FactoredOrder(10, ((3, 1),))
+        FactoredOrder(10, (3,))
     with pytest.raises(ValidationError):
-        FactoredOrder(15, ((5, 1), (3, 1)))
+        FactoredOrder(15, (5, 3))
 
 
-def test_from_prime_powers_equals_the_checked_constructor_without_rechecking(monkeypatch):
-    checked = FactoredOrder(45, ((3, 2), (5, 1)))
-    built = FactoredOrder.from_prime_powers({5: 1, 7: 0, 3: 2})
+def test_of_primes_equals_the_checked_constructor_without_rechecking(monkeypatch):
+    checked = FactoredOrder(15, (3, 5))
+    built = FactoredOrder.of_primes((3, 5))
     assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
 
     def refuse(*args):
         raise AssertionError("re-checked")
 
     monkeypatch.setattr(FactoredOrder, "__init__", refuse)
-    assert FactoredOrder.from_prime_powers({3: 2, 5: 1}) == checked
+    assert FactoredOrder.of_primes((3, 5)) == checked
