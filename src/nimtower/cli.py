@@ -72,7 +72,8 @@ def _plan_tasks(target: str, level: int | None, max_level: int | None, table) ->
     for the quotient-check/corollary families.  For `all`, --level acts as
     --max-level, the default ceiling is 8, and the lemma6/thm1/thm2 sweeps
     stay capped at 8 regardless (the dedicated families reach the higher
-    levels).
+    levels).  A family swept to a --max-level below its first level plans
+    nothing, which is refused as a LevelError.
     """
     if target == "all":
         top = next((v for v in (max_level, level) if v is not None), _IDENTITY_CAP)
@@ -82,6 +83,8 @@ def _plan_tasks(target: str, level: int | None, max_level: int | None, table) ->
             return range(lo, (min(top, default) if capped else top) + 1)
         if level is not None:
             return range(level, level + 1)
+        if max_level is not None and max_level < lo:
+            raise LevelError(f"verify {target} starts at level {lo}, got --max-level {max_level}")
         return range(lo, (default if max_level is None else max_level) + 1)
 
     tasks: list[_Task] = []
@@ -254,6 +257,8 @@ def _cmd_bench(args) -> int:
     batches = min(_BENCH_BATCHES, args.samples)
     size = args.samples // batches
     pow_reps = max(1, size // 10)
+    if args.max_level < 0:
+        raise LevelError(f"bench starts at level 0, got --max-level {args.max_level}")
     tower.width_of(args.max_level)  # LevelError before any level is timed
     for level in range(0, args.max_level + 1):
         width = tower.width_of(level)
@@ -262,9 +267,9 @@ def _cmd_bench(args) -> int:
         for _ in range(1 + batches):
             xs = [rng.getrandbits(width) | 1 for _ in range(size)]
             ys = [rng.getrandbits(width) | 1 for _ in range(size)]
-            t_mul.append(_time_batch(tower.mul_values, [(x, y, width) for x, y in zip(xs, ys)]))
-            t_sq.append(_time_batch(tower.square_value, [(x, width) for x in xs]))
-            t_pow.append(_time_batch(tower.pow_values, [(x, exponent, width) for x in xs[:pow_reps]]))
+            t_mul.append(_time_batch(tower._mul, [(x, y, width) for x, y in zip(xs, ys)]))
+            t_sq.append(_time_batch(tower._square, [(x, width) for x in xs]))
+            t_pow.append(_time_batch(tower._pow, [(x, exponent, width) for x in xs[:pow_reps]]))
         (mul_min, mul_med), (sq_min, sq_med), (pow_min, pow_med) = (
             (min(t[1:]), median(t[1:])) for t in (t_mul, t_sq, t_pow)  # t[0]: warm-up
         )

@@ -24,6 +24,9 @@ And x^(N_j) is the norm x*conj(x), so a power by N_j * N_(j-1) * ... is a
 chain of norms, one level down per factor.  Minimal exponents, alpha
 chains and the quotient checks share the descent's per-level step; the
 identity and membership suites walk the norm chain, checking each link.
+
+Kernels and norms are called through the `tower` module, not bound here,
+so that one patch of `tower._mul` (say) reaches every call.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from collections import OrderedDict
 from math import prod
 from types import SimpleNamespace
 
+from . import tower
 from .errors import ArithmeticFault, LevelError, NotAnExponent, ZeroElement
 from .fermat import (
     _BUILTIN_ENTRIES,
@@ -42,19 +46,7 @@ from .fermat import (
     group_order,
 )
 from .report import VerificationReport
-from .tower import (
-    LOG_TABLE_BITS,
-    TowerElement,
-    generator,
-    leaf_order,
-    mul_values,
-    norm_split_values,
-    norm_value,
-    pow_values,
-    powers_values,
-    square_value,
-    width_of,
-)
+from .tower import LOG_TABLE_BITS, TowerElement, generator, leaf_order, width_of
 from .value import Value
 
 # Descent steps kept by _y_step, filed cubes included, least recently used
@@ -86,7 +78,7 @@ def _cofactor_powers(v: int, w: int, blocks: tuple[int, ...]) -> list[int]:
     while mid < len(blocks) - 1 and 2 * sum(bits[: mid + 1]) <= sum(bits):
         mid += 1
     left, right = blocks[:mid], blocks[mid:]
-    to_left, to_right = powers_values(v, (prod(right), prod(left)), w)
+    to_left, to_right = tower._powers(v, (prod(right), prod(left)), w)
     return _cofactor_powers(to_left, w, left) + _cofactor_powers(to_right, w, right)
 
 
@@ -95,7 +87,7 @@ def _down_step(v: int, level: int, primes: tuple[int, ...]) -> tuple[int, int]:
     v*conj(v) = v^(N_level), which lies one level down, and the order d of
     y = conj(v)/v from primes `primes` of N_level, the smallest d > 0 with
     v^d in L_(level-1)."""
-    y, norm = norm_split_values(v, width_of(level))
+    y, norm = tower.norm_split_values(v, width_of(level))
     return norm, _y_step(y, level, primes)
 
 
@@ -137,7 +129,7 @@ def _y_step(y: int, level: int, primes: tuple[int, ...]) -> int:
     if entry[1]:
         entry[1] = False
         w = width_of(level)
-        cube = (mul_values(square_value(y, w), y, w), level, primes)
+        cube = (tower._mul(tower._square(y, w), y, w), level, primes)
         if cube not in _STEPS:
             _file_step(cube, [entry[0], True])
     return entry[0]
@@ -174,10 +166,10 @@ def _y_order(y: int, level: int, primes: tuple[int, ...]) -> int:
     unless y^g = 1, which is free when N_level divides g.
     """
     w = width_of(level)
-    if norm_value(y, w) != 1:
+    if tower.norm_value(y, w) != 1:
         raise ArithmeticFault(f"conj(x)/x has norm != 1 at level {level}")
     g = prod(primes)
-    if g % fermat_number(level) and pow_values(y, g, w) != 1:
+    if g % fermat_number(level) and tower._pow(y, g, w) != 1:
         raise NotAnExponent(_NOT_AN_EXPONENT)
     return prod(p for p, z in zip(primes, _cofactor_powers(y, w, primes)) if z != 1)
 
@@ -189,8 +181,8 @@ def _norm_chain(v: int, level: int, steps: int) -> list[int]:
     chain = []
     for j in range(level, level - steps, -1):
         w = width_of(j)
-        chain.append(norm_value(v, w))
-        if chain[-1] != mul_values(v, v ^ (v >> (w >> 1)), w):
+        chain.append(tower.norm_value(v, w))
+        if chain[-1] != tower._mul(v, v ^ (v >> (w >> 1)), w):
             raise ArithmeticFault(f"norm != x*conj(x) at level {j}")
         v = chain[-1]
     return chain
@@ -344,7 +336,7 @@ def verify_identities(
         report.add(
             f"lemma5.eq1.i{i:02d}", c_chain[0] == a_prev_value, f"c_{i}^(N_{i}) = a_{i - 1}"
         )
-        rhs2 = pow_values(a_prev_value, n_i + 1, width_of(i - 1))
+        rhs2 = tower._pow(a_prev_value, n_i + 1, width_of(i - 1))
         report.add(
             f"lemma5.eq2.i{i:02d}",
             a_chain[0] == rhs2,
@@ -356,12 +348,12 @@ def verify_identities(
         target = _agen(i - k - 1)
         report.add(
             f"lemma6.eq3.i{i:02d}.k{k}",
-            c_chain[k] == pow_values(target.value, e3, target.width),
+            c_chain[k] == tower._pow(target.value, e3, target.width),
             f"c_{i}^({_exp_name(i, k)}) = a_{i - k - 1}^(prod (N+1), j=1..{k})",
         )
         report.add(
             f"lemma6.eq4.i{i:02d}.k{k}",
-            a_chain[k] == pow_values(target.value, e3 * (n_i + 1), target.width),
+            a_chain[k] == tower._pow(target.value, e3 * (n_i + 1), target.width),
             f"a_{i}^({_exp_name(i, k)}) = a_{i - k - 1}^(prod (N+1), j=0..{k})",
         )
     return report

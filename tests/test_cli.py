@@ -355,6 +355,25 @@ def test_bench_above_the_level_ceiling_exit_1(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, first",
+    [
+        (("verify", "lemma5", "--max-level", "0"), 1),
+        (("verify", "lemma6", "--max-level", "1"), 2),
+        (("verify", "thm1", "--max-level", "1"), 2),
+        (("verify", "thm5", "--max-level", "4"), 5),
+        (("verify", "cor", "--max-level", "1"), 2),
+        (("bench", "--max-level", "-1"), 0),
+    ],
+    ids=["lemma5", "lemma6", "thm1", "thm5", "cor", "bench"],
+)
+def test_a_sweep_that_checks_nothing_exit_1(capsys, argv, first):
+    # an empty plan would print nothing and exit 0, as if it had passed
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "LevelError" in err and f"starts at level {first}," in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("bench", "--max-level", "0", "--samples", "0"),

@@ -146,7 +146,7 @@ def test_rec_large_values_match_tower():
     for width in (64, 128, 256):
         for _ in range(50):
             a, b = rng.getrandbits(width), rng.getrandbits(width)
-            assert nim_mul_rec(a, b) == tower.mul_values(a, b, width)
+            assert nim_mul_rec(a, b) == tower._mul(a, b, width)
 
 
 def test_nim_order_divides_group_order_exhaustive():
@@ -195,17 +195,41 @@ _ORACLE_KERNELS = {
 }
 
 
+def _oracle_powers(a, exponents, w):
+    """[a^e for e in exponents] by plain square-and-multiply, each product
+    taken through tower._square and tower._mul as the replay binds them."""
+    results = []
+    for e in exponents:
+        r = 1
+        for bit in bin(e)[2:]:
+            r = tower._square(r, w)
+            if bit == "1":
+                r = tower._mul(r, a, w)
+        results.append(r)
+    return results
+
+
+# The second replay's kernels: the powers too, so no window rule and no
+# log-table power derives a record.
+_ORACLE_POWER_KERNELS = {
+    **_ORACLE_KERNELS,
+    "_pow": lambda a, e, w: _oracle_powers(a, (e,), w)[0],
+    "_powers": _oracle_powers,
+}
+
+
 def _kernel_body_ran(*args):
     raise AssertionError("a production kernel body ran during the oracle replay")
 
 
-def replay_verify_all(max_level: int) -> tuple[int, str, int]:
+def replay_verify_all(max_level: int, kernels=_ORACLE_KERNELS) -> tuple[int, str, int]:
     """Run `verify all --max-level max_level` in process with the tower's
-    product kernels replaced by nim_mul_rec: (exit code, stdout, oracle
-    products).  The production kernels' bodies are swapped for one that
-    raises AssertionError, so a kernel reached through a reference bound
-    before the patch fails the replay instead of passing it silently.
-    The descent-step memo is cleared first, so every step is recomputed."""
+    kernels named in `kernels` replaced by their values there, each
+    product by nim_mul_rec: (exit code, stdout, oracle products).  The
+    production kernels' bodies are swapped for one that raises
+    AssertionError, so a kernel reached through a reference bound before
+    the patch fails the replay instead of passing it silently.  The
+    descent-step memo is cleared first, so every step is recomputed."""
     products = [0]
 
     def counted(kernel):
@@ -215,13 +239,15 @@ def replay_verify_all(max_level: int) -> tuple[int, str, int]:
 
         return run
 
-    originals = {name: getattr(tower, name) for name in _ORACLE_KERNELS}
+    originals = {name: getattr(tower, name) for name in kernels}
     codes = {name: kernel.__code__ for name, kernel in originals.items()}
     try:
         for name, kernel in originals.items():
             kernel.__code__ = _kernel_body_ran.__code__
-            replacement = _ORACLE_KERNELS[name]
-            setattr(tower, name, replacement if name == "_prepare" else counted(replacement))
+            replacement = kernels[name]
+            if name not in ("_prepare", "_pow", "_powers"):  # powers count via _square, _mul
+                replacement = counted(replacement)
+            setattr(tower, name, replacement)
         orders._y_step.cache_clear()
         with contextlib.redirect_stdout(io.StringIO()) as out:
             rc = cli.main(["verify", "all", "--max-level", str(max_level)])
@@ -248,10 +274,22 @@ def test_verify_all_to_level_8_replays_byte_identically_through_the_recursive_or
     assert rc == 1 and products > 2000
 
 
+def test_verify_all_to_level_8_replays_byte_identically_with_the_powers_through_the_oracle():
+    """The second replay: _pow and _powers are plain square-and-multiply
+    over nim_mul_rec as well, and their production bodies raise too."""
+    orders._y_step.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(["verify", "all", "--max-level", "8"])
+    replayed_rc, replayed, products = replay_verify_all(8, _ORACLE_POWER_KERNELS)
+    assert (replayed_rc, replayed) == (rc, out.getvalue())
+    assert rc == 1 and products > 10000
+
+
 def test_an_oracle_replay_refuses_a_kernel_bound_before_the_patch(monkeypatch):
-    # orders' kernel wrappers look the kernels up at call time; an alias
-    # bound at import would bypass the replay, and must fail it
+    # orders calls the kernels through `tower` at call time; a kernel bound
+    # before the patch, here in a correct norm a*conj(a), would bypass the
+    # replay, and must fail it
     mul = tower._mul
-    monkeypatch.setattr(orders, "mul_values", lambda a, b, width: mul(a, b, max(width, 1)))
+    monkeypatch.setattr(tower, "norm_value", lambda a, w: mul(a, a ^ (a >> (w >> 1)), w))
     with pytest.raises(AssertionError, match="production kernel body ran"):
         replay_verify_all(4)

@@ -9,6 +9,8 @@ reference that raises the element to each exponent at full width and
 reads the coefficient bits.
 """
 
+import contextlib
+import io
 import random
 from math import prod
 
@@ -36,7 +38,7 @@ from nimtower.orders import (
     verify_membership,
     verify_thm5,
 )
-from nimtower.tower import TowerElement, generator, pow_values, width_of
+from nimtower.tower import TowerElement, generator, width_of
 
 
 def brute_order(x: TowerElement) -> int:
@@ -65,9 +67,9 @@ def spec_subfield_exponent(v: int, level: int, primes) -> int:
     """The literal reduction loop for the smallest d with v^d in L_(level-1):
     strip primes of N_level while the full-width power stays there."""
     w, d = width_of(level), fermat_number(level)
-    assert in_level(pow_values(v, d, w), level - 1)
+    assert in_level(tower._pow(v, d, w), level - 1)
     for p in primes:
-        if in_level(pow_values(v, d // p, w), level - 1):
+        if in_level(tower._pow(v, d // p, w), level - 1):
             d //= p
     return d
 
@@ -77,7 +79,7 @@ def spec_alphas(i: int, base: str, table) -> tuple:
     for m in range(i, 0, -1):
         alpha = spec_subfield_exponent(v, m, fermat.factorization(table, m).factors)
         alphas.append(alpha)
-        v = pow_values(v, alpha, width_of(m))
+        v = tower._pow(v, alpha, width_of(m))
     assert v == 1
     return tuple(alphas)
 
@@ -85,9 +87,9 @@ def spec_alphas(i: int, base: str, table) -> tuple:
 def spec_thm5(j: int, table) -> list:
     c, w = generator("c", j, j).value, width_of(j)
     n_j = fermat_number(j)
-    out = [(f"thm5.j{j:02d}.eq1", pow_values(c, n_j, w) == generator("a", j - 1, j - 1).value)]
+    out = [(f"thm5.j{j:02d}.eq1", tower._pow(c, n_j, w) == generator("a", j - 1, j - 1).value)]
     for idx, p in enumerate(fermat.factorization(table, j).factors):
-        out.append((f"thm5.j{j:02d}.q{idx}", not in_level(pow_values(c, n_j // p, w), j - 1)))
+        out.append((f"thm5.j{j:02d}.q{idx}", not in_level(tower._pow(c, n_j // p, w), j - 1)))
     return out
 
 
@@ -96,7 +98,7 @@ def spec_membership(theorem: int, i: int) -> list:
     out, e = [], 1
     for k in range(i):
         e *= fermat_number(i - k)
-        power = pow_values(x.value, e, x.width)
+        power = tower._pow(x.value, e, x.width)
         if k <= i - 2:
             ok = in_level(power, i - k - 1) and not in_level(power, i - k - 2)
             out.append((f"thm{theorem}.membership.i{i:02d}.k{k}", ok))
@@ -110,10 +112,10 @@ def spec_identities(i: int) -> list:
     a_prev = generator("a", i - 1, i - 1)
     n_i = fermat_number(i)
     out = [
-        (f"lemma5.eq1.i{i:02d}", pow_values(c.value, n_i, c.width) == a_prev.value),
+        (f"lemma5.eq1.i{i:02d}", tower._pow(c.value, n_i, c.width) == a_prev.value),
         (
             f"lemma5.eq2.i{i:02d}",
-            pow_values(a.value, n_i, a.width) == pow_values(a_prev.value, n_i + 1, a_prev.width),
+            tower._pow(a.value, n_i, a.width) == tower._pow(a_prev.value, n_i + 1, a_prev.width),
         ),
     ]
     e_lhs, e3 = n_i, 1
@@ -122,10 +124,10 @@ def spec_identities(i: int) -> list:
             e_lhs *= fermat_number(i - k)
             e3 *= fermat_number(i - k) + 1
         target = generator("a", i - k - 1, i - k - 1)
-        rhs3 = pow_values(target.value, e3, target.width)
-        rhs4 = pow_values(target.value, e3 * (n_i + 1), target.width)
-        out.append((f"lemma6.eq3.i{i:02d}.k{k}", pow_values(c.value, e_lhs, c.width) == rhs3))
-        out.append((f"lemma6.eq4.i{i:02d}.k{k}", pow_values(a.value, e_lhs, a.width) == rhs4))
+        rhs3 = tower._pow(target.value, e3, target.width)
+        rhs4 = tower._pow(target.value, e3 * (n_i + 1), target.width)
+        out.append((f"lemma6.eq3.i{i:02d}.k{k}", tower._pow(c.value, e_lhs, c.width) == rhs3))
+        out.append((f"lemma6.eq4.i{i:02d}.k{k}", tower._pow(a.value, e_lhs, a.width) == rhs4))
     return out
 
 
@@ -259,9 +261,9 @@ def test_leaf_orders_of_all_of_l3_meet_the_order_certificate(table):
     for v in range(1, 1 << 16):
         x = TowerElement(3, v)
         o = multiplicative_order(x, n)
-        assert pow_values(v, o.value, 16) == 1, v
+        assert tower._pow(v, o.value, 16) == 1, v
         for p in o.factors:
-            assert pow_values(v, o.value // p, 16) != 1, (v, p)
+            assert tower._pow(v, o.value // p, 16) != 1, (v, p)
         assert multiplicative_order(x, foreign) == o, v
 
 
@@ -493,11 +495,11 @@ def test_level_step_finds_exponents_below_n(table):
         w = width_of(level)
         x = tower.random_element(level, 3000 + level).value
         values = [x, tower.random_element(level - 1, 9).value or 1]
-        values += [pow_values(x, p, w) for p in entry.factors]
+        values += [tower._pow(x, p, w) for p in entry.factors]
         for v in values:
             norm, d = orders._down_step(v, level, entry.factors)
             assert d == spec_subfield_exponent(v, level, entry.factors), (level, v)
-            assert norm == pow_values(v, fermat_number(level), w)
+            assert norm == tower._pow(v, fermat_number(level), w)
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5])
@@ -517,7 +519,7 @@ def test_orders_of_lifted_elements(table, level):
             order = multiplicative_order(lifted, group_order(k, table))
             assert order == own and (order is own) == (level <= 3), (x, k)
             assert multiplicative_order(lifted, own) == own, (x, k)
-            square = tower.square_value(x.value, width_of(k - 1))
+            square = tower._square(x.value, width_of(k - 1))
             primes = fermat.factorization(table, k).factors
             assert orders._down_step(lifted.value, k, primes) == (square, 1)
 
@@ -595,10 +597,11 @@ def test_corollaries_and_thm5_share_the_level_step(table, monkeypatch):
     # c_i, a_i, c_i*c_0, a_i*a_0 and thm5 all ask about conj(c_i)/c_i
     level = 6
     w = width_of(level)
-    computed = []  # one certifying norm per step computed
-    norm_value = orders.norm_value
+    y, _ = tower.norm_split_values(generator("c", level, level).value, w)
+    computed = []  # the arguments of every norm taken
+    norm_value = tower.norm_value
     monkeypatch.setattr(
-        orders, "norm_value", lambda v, width: (computed.append(width), norm_value(v, width))[1]
+        tower, "norm_value", lambda v, width: (computed.append((v, width)), norm_value(v, width))[1]
     )
     orders._y_step.cache_clear()
     assert verify_corollaries(level, table).passed
@@ -606,7 +609,7 @@ def test_corollaries_and_thm5_share_the_level_step(table, monkeypatch):
     assert verify_thm5(level, table).passed
     after = orders._y_step.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert computed.count(w) == 1
+    assert computed.count((y, w)) == 1  # one certifying norm for the one step computed
 
 
 def test_a_filed_step_equals_a_fresh_one(table):
@@ -619,9 +622,9 @@ def test_a_filed_step_equals_a_fresh_one(table):
         entry = fermat.factorization(table, level)
         primes = entry.factors
         y, _ = tower.norm_split_values(tower.random_element(level, 5000 + level).value, w)
-        for v in [y, 1] + [pow_values(y, p, w) for p in entry.factors]:
-            cube = tower.mul_values(tower.square_value(v, w), v, w)
-            ninth = tower.mul_values(tower.square_value(cube, w), cube, w)
+        for v in [y, 1] + [tower._pow(y, p, w) for p in entry.factors]:
+            cube = tower._mul(tower._square(v, w), v, w)
+            ninth = tower._mul(tower._square(cube, w), cube, w)
             orders._y_step.cache_clear()
             filed = [orders._y_step(u, level, primes) for u in (v, cube, ninth)]
             assert orders._y_step.cache_info().misses == 1, (level, v)
@@ -629,7 +632,7 @@ def test_a_filed_step_equals_a_fresh_one(table):
                 orders._y_step.cache_clear()
                 assert orders._y_step(u, level, primes) == answer, (level, v)
             n_j = fermat_number(level)
-            want = prod(p for p in entry.factors if pow_values(v, n_j // p, w) != 1)
+            want = prod(p for p in entry.factors if tower._pow(v, n_j // p, w) != 1)
             assert filed[0] == want, (level, v)
 
 
@@ -668,9 +671,11 @@ def test_verify_all_to_level_9_computes_one_step_per_level(monkeypatch, capsys):
     assert orders._y_step.cache_info().misses == 6
 
 
-def test_verify_all_to_level_9_makes_the_pinned_kernel_calls(monkeypatch, capsys):
-    # top-level calls only: a kernel called while another runs is part of
-    # that one's work.  CI pins the same counts at level 11.
+def count_kernel_calls(max_level: int) -> tuple[int, dict[str, int]]:
+    """Run `verify all --max-level max_level` in process from a cleared
+    step memo: (exit code, top-level calls of _square, _mul, _mul_prepared,
+    _prepare, _mul_top and _inv, in that order).  A kernel called while
+    another runs is part of that one's work, so it is not counted."""
     names = ("_square", "_mul", "_mul_prepared", "_prepare", "_mul_top", "_inv")
     counts, depth = dict.fromkeys(names, 0), [0]
 
@@ -684,12 +689,23 @@ def test_verify_all_to_level_9_makes_the_pinned_kernel_calls(monkeypatch, capsys
                 depth[0] -= 1
         return wrapper
 
-    for name in names:
-        monkeypatch.setattr(tower, name, counted(name, getattr(tower, name)))
-    orders._y_step.cache_clear()
-    assert cli.main(["verify", "all", "--max-level", "9"]) == 1
-    capsys.readouterr()
-    assert list(counts.values()) == [1821, 620, 207, 28, 253, 89]
+    originals = {name: getattr(tower, name) for name in names}
+    try:
+        for name, kernel in originals.items():
+            setattr(tower, name, counted(name, kernel))
+        orders._y_step.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["verify", "all", "--max-level", str(max_level)])
+    finally:
+        for name, kernel in originals.items():
+            setattr(tower, name, kernel)
+    return rc, counts
+
+
+def test_verify_all_to_level_9_makes_the_pinned_kernel_calls():
+    # CI pins the counts at level 11 through the same helper
+    rc, counts = count_kernel_calls(9)
+    assert rc == 1 and list(counts.values()) == [1821, 620, 207, 28, 253, 89]
 
 
 def test_the_step_memo_is_safe_under_concurrency(table, monkeypatch):
@@ -726,21 +742,24 @@ def test_the_step_memo_is_safe_under_concurrency(table, monkeypatch):
     assert orders._y_step.cache_info().currsize <= 4
 
 
+_norm_split_values = tower.norm_split_values  # bound before any test patches it
+
+
 def _wrong_y(v, w):
-    y, norm = tower.norm_split_values(v, w)
+    y, norm = _norm_split_values(v, w)
     return (y ^ 2 if y != 1 else y), norm
 
 
 def test_a_step_with_a_wrong_y_is_refused(table, monkeypatch):
     # a memoized step is reused everywhere, so its y is certified once:
     # norm(y) = y^(N_j) = 1 must hold, else no answer is given
-    monkeypatch.setattr(orders, "norm_split_values", _wrong_y)
-    with pytest.raises(ArithmeticFault):
+    monkeypatch.setattr(tower, "norm_split_values", _wrong_y)
+    with pytest.raises(ArithmeticFault, match="norm != 1 at level 5"):
         multiplicative_order(generator("c", 5, 5), group_order(5, table))
-    with pytest.raises(ArithmeticFault):
+    with pytest.raises(ArithmeticFault, match="norm != 1 at level 5"):
         verify_thm5(5, table)
     [record] = cli._run_verify_task(cli._Task("thm5.j05.factorization", "verify_thm5", (5,)))
-    assert not record.ok and record.detail.startswith("ArithmeticFault: ")
+    assert not record.ok and record.detail.startswith("ArithmeticFault: conj(x)/x has norm != 1")
 
 
 def test_a_level3_step_with_a_wrong_y_is_refused(table, monkeypatch):
@@ -748,7 +767,7 @@ def test_a_level3_step_with_a_wrong_y_is_refused(table, monkeypatch):
     # c_3 has order 17 * 257, so that norm is not 1
     y, _ = _wrong_y(generator("c", 3, 3).value, 16)
     assert tower.leaf_order(y) == 17 * 257
-    monkeypatch.setattr(orders, "norm_split_values", _wrong_y)
+    monkeypatch.setattr(tower, "norm_split_values", _wrong_y)
     orders._y_step.cache_clear()
     with pytest.raises(ArithmeticFault, match="level 3"):
         minimal_subfield_exponent(3, table)
@@ -767,7 +786,7 @@ def test_a_level3_step_outside_the_exponent_is_refused():
 def test_a_raising_suite_names_its_error_not_the_factor_table(monkeypatch, capsys):
     # only a MissingFactorization is reported under `.factorization`
     # (test_cli.test_verify_thm5_missing_level)
-    monkeypatch.setattr(orders, "norm_split_values", _wrong_y)
+    monkeypatch.setattr(tower, "norm_split_values", _wrong_y)
     assert cli.main(["verify", "thm5", "--level", "5"]) == 1
     assert capsys.readouterr().out.startswith("FAIL thm5.j05.error ArithmeticFault: ")
 
@@ -775,10 +794,10 @@ def test_a_raising_suite_names_its_error_not_the_factor_table(monkeypatch, capsy
 def test_a_wrong_norm_chain_link_is_refused(monkeypatch, capsys):
     # each link of the chain is checked against the full-width v*conj(v)
     norm_value = tower.norm_value
-    monkeypatch.setattr(orders, "norm_value", lambda v, w: norm_value(v, w) ^ 1)
-    with pytest.raises(ArithmeticFault):
+    monkeypatch.setattr(tower, "norm_value", lambda v, w: norm_value(v, w) ^ 1)
+    with pytest.raises(ArithmeticFault, match=r"norm != x\*conj\(x\) at level 5"):
         verify_membership(1, 5)
-    with pytest.raises(ArithmeticFault):
+    with pytest.raises(ArithmeticFault, match=r"norm != x\*conj\(x\) at level 5"):
         verify_identities(5, 4)
     assert cli.main(["verify", "thm1", "--level", "5"]) == 1
-    assert capsys.readouterr().out.startswith("FAIL thm1.i05 ArithmeticFault: ")
+    assert capsys.readouterr().out.startswith("FAIL thm1.i05 ArithmeticFault: norm != x*conj(x)")
