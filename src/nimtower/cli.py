@@ -68,12 +68,12 @@ def _plan_tasks(target: str, level: int | None, max_level: int | None, table) ->
     """Expand a verify target into independent per-level tasks.
 
     A single family honors --level (one level) or --max-level (sweep up to
-    it); defaults are level 8 for the identity/membership families and 11
-    for the quotient-check/corollary families.  For `all`, --level acts as
-    --max-level, the default ceiling is 8, and the lemma6/thm1/thm2 sweeps
-    stay capped at 8 regardless (the dedicated families reach the higher
-    levels).  A family swept to a --max-level below its first level plans
-    nothing, which is refused as a LevelError.
+    it), never both; defaults are level 8 for the identity/membership
+    families and 11 for the quotient-check/corollary families.  For `all`,
+    --level acts as --max-level, the default ceiling is 8, and the
+    lemma6/thm1/thm2 sweeps stay capped at 8 regardless (the dedicated
+    families reach the higher levels).  A family swept to a --max-level
+    below its first level plans nothing, which is refused as a LevelError.
     """
     if target == "all":
         top = next((v for v in (max_level, level) if v is not None), _IDENTITY_CAP)
@@ -138,7 +138,6 @@ def _cmd_order(args) -> int:
     from . import expr
 
     element = expr.evaluate(args.expression)
-    element = element.lift(max(element.level, 0))  # L_-1 holds only 0 and 1
     table = _load_table(args.factor_file)
     n = fermat.group_order(element.level, table)
     order = orders.multiplicative_order(element, n)
@@ -341,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         choices=("lemma5", "lemma6", "thm1", "thm2", "thm5", "cor", "example-l2", "all"),
     )
-    p.add_argument("--level", type=int, default=None, help="run a single level")
-    p.add_argument("--max-level", type=int, default=None, help="sweep up to this level")
+    levels = p.add_mutually_exclusive_group()
+    levels.add_argument("--level", type=int, default=None, help="run a single level")
+    levels.add_argument("--max-level", type=int, default=None, help="sweep up to this level")
     add_factor_file(p)
     p.add_argument("--jobs", type=int, choices=(1,), default=1, help="only 1: checks share a memo")
     p.add_argument("--timing", action="store_true", help="append an elapsed-time comment")

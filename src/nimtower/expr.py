@@ -31,8 +31,6 @@ most MAX_NESTING deep; deeper input is a ParseError, not a RecursionError.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .errors import DivideByZero, ExactDivError, LevelError, ParseError
 from .fermat import fermat_number
 from .tower import MAX_LEVEL, TowerElement, _min_level_for, generator, width_of
@@ -275,10 +273,14 @@ def eval_int(node) -> int:
 
 
 def _combine(op, nodes) -> TowerElement:
-    """Fold op over the operands, each lifted to the highest level among them."""
-    parts = [_eval(n) for n in nodes]
-    level = max(p.level for p in parts)
-    return reduce(op, (p.lift(level) for p in parts))
+    """Fold op over the operands left to right, each step at the higher of
+    its two levels: the result at the highest, one operand held at a time."""
+    acc = _eval(nodes[0])
+    for node in nodes[1:]:
+        x = _eval(node)
+        level = max(acc.level, x.level)
+        acc = op(acc.lift(level), x.lift(level))
+    return acc
 
 
 def _eval(node) -> TowerElement:

@@ -323,14 +323,14 @@ class FactoredOrder(Value):
 
 def group_order(i: int, table: list[FermatFactorization]) -> FactoredOrder:
     """The factored order N_0 * ... * N_i = 2^(2^(i+1)) - 1 of the level-i
-    multiplicative group, prebuilt when the table is the builtin tuple or
-    its entries of levels 0..i are the builtin objects.  The N_j are
-    pairwise coprime, so each prime occurs once; ValidationError if the
-    table's primes of levels 0..i repeat or do not multiply to the group's
-    size."""
-    if i < 0:
-        raise ValueError(f"level must be >= 0, got {i}")
-    if i < len(_BUILTIN_ORDERS) and (
+    multiplicative group, i >= -1 (L_-1's is 1, the empty product),
+    prebuilt when the table is the builtin tuple or its entries of levels
+    0..i are the builtin objects.  The N_j are pairwise coprime, so each
+    prime occurs once; ValidationError if the table's primes of levels
+    0..i repeat or do not multiply to the group's size."""
+    if i < -1:
+        raise ValueError(f"level must be >= -1, got {i}")
+    if 0 <= i < len(_BUILTIN_ORDERS) and (
         table is _BUILTIN_ENTRIES or len(table) > i and all(map(is_, table[: i + 1], _BUILTIN_ENTRIES))
     ):
         return _BUILTIN_ORDERS[i]

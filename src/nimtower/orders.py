@@ -225,8 +225,6 @@ def is_primitive(
     """Whether x generates the whole multiplicative group, plus its index."""
     if x.value == 0:
         raise ZeroElement("zero is not a group element")
-    if x.level < 0:
-        return True, 1
     n = group_order(x.level, _table_or_builtin(table))
     order = multiplicative_order(x, n)
     index = n.value // order.value

@@ -406,20 +406,18 @@ def _pow(a: int, e: int, w: int) -> int:
 
 
 def _powers(a: int, exponents, w: int) -> list[int]:
-    """[a^e for e in exponents]: _pow's log-table read for a base of 16
-    bits or fewer, else left-to-right sliding windows of k bits over one
-    table of odd powers a^1 .. a^(2^k - 1), k chosen for the longest
-    exponent and each fixed factor prepared once at wide widths, however
-    many exponents share them; k = 1 is plain square-and-multiply, with no
-    a^2 entry.
+    """[a^e for e in exponents]: left-to-right sliding windows of k bits
+    over one table of odd powers a^1 .. a^(2^k - 1), k chosen for the
+    longest exponent and each fixed factor prepared once at wide widths,
+    however many exponents share them; k = 1 is plain square-and-multiply,
+    with no a^2 entry.
 
     A nonzero base in the width-w field has an order dividing 2^w - 1, so
-    each e is reduced modulo it first, at the narrowest such w; 0^e is 0
-    for e > 0."""
+    each e is reduced modulo it first, at the narrowest such w: a = 1
+    narrows to width 1, where every e reduces to 0 and a^0 = 1 needs no
+    multiply.  0^e is 0 for e > 0."""
     if a == 0:
         return [0 if e else 1 for e in exponents]
-    if a < 1 << 16:
-        return [_pow(a, e, w) for e in exponents]
     while a >> (w >> 1) == 0:
         w >>= 1  # the powers of a stay in the half-width field
     order = (1 << w) - 1

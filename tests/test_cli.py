@@ -84,6 +84,8 @@ def test_primitive(capsys):
     assert code == 0 and out == "primitive true index 1\n"
     code, out, _ = run(capsys, "primitive", "c2")
     assert code == 0 and out == "primitive false index 3\n"
+    code, out, _ = run(capsys, "primitive", "1")
+    assert code == 0 and out == "primitive true index 1\n"
 
 
 def test_alpha_chain(capsys):
@@ -391,9 +393,12 @@ def test_count_flags_need_a_positive_integer(capsys, argv):
 
 
 def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    # --level and --max-level are exclusive: neither is silently dropped
+    for argv in (["no-such-command"], ["verify", "thm5", "--level", "6", "--max-level", "9"],
+                 ["verify", "all", "--level", "2", "--max-level", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_help_lists_flags():

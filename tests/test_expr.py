@@ -193,6 +193,24 @@ def test_eval_lift_error_never_needed():
     # operands lift to the highest level among them, so only ever upward
     assert evaluate("c0*c3").level == 3
     assert evaluate("a2*c0") == evaluate("c2*c1*c0*c0")
+    # folding pairwise at the higher level equals lifting all to the top
+    c = [tower.generator("c", k, k).lift(4) for k in range(5)]
+    assert evaluate("c1*c3*c0+c4*c2+c1") == c[1] * c[3] * c[0] + c[4] * c[2] + c[1]
+
+
+def test_a_long_sum_holds_one_operand_at_a_time():
+    # each c20 operand is 2^21 bits: evaluating all 400 before folding
+    # them peaked at 56 MB traced
+    import tracemalloc
+
+    evaluate("c20")
+    tracemalloc.start()
+    try:
+        assert evaluate("+".join(["c20"] * 400)) == tower.TowerElement(20, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_low_level_powers_inside_high_level_expressions_evaluate():

@@ -203,6 +203,9 @@ def test_group_order(table):
     assert go.value == 255
     assert go.factors == (3, 5, 17)
     assert group_order(0, table).value == 3
+    assert group_order(-1, table) == FactoredOrder(1, ())  # L_-1 = {0, 1}
+    with pytest.raises(ValueError):
+        group_order(-2, table)
     with pytest.raises(MissingFactorization):
         group_order(12, table)
 

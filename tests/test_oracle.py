@@ -179,6 +179,39 @@ def test_cross_check_sampled_levels():
         assert report.records[0].check_id == f"oracle.l{level}.rec.sampled"
 
 
+def test_cross_check_names_each_oracles_own_first_mismatch_in_hex(monkeypatch):
+    # the tower is wrong at (3, 5) only: both oracles report that pair
+    mul, mex = tower._mul, oracle.nim_mul_mex
+    monkeypatch.setattr(tower, "_mul", lambda a, b, w: mul(a, b, w) ^ ((a, b) == (3, 5)))
+    assert oracle.cross_check(1).lines() == [
+        "FAIL oracle.l1.mex.exhaustive 256 pairs vs mex definition; 1 mismatches, first at a=0x3 b=0x5",
+        "FAIL oracle.l1.rec.exhaustive 256 pairs vs direct recursion; 1 mismatches, first at a=0x3 b=0x5",
+    ]
+    # the mex oracle is also wrong at (2, 2): that is its first mismatch
+    # only, the recursion's stays (3, 5)
+    monkeypatch.setattr(oracle, "nim_mul_mex", lambda a, b: mex(a, b) ^ ((a, b) == (2, 2)))
+    assert oracle.cross_check(1).lines() == [
+        "FAIL oracle.l1.mex.exhaustive 256 pairs vs mex definition; 2 mismatches, first at a=0x2 b=0x2",
+        "FAIL oracle.l1.rec.exhaustive 256 pairs vs direct recursion; 1 mismatches, first at a=0x3 b=0x5",
+    ]
+
+
+def test_cross_check_sampled_counts_every_mismatch(monkeypatch):
+    mul, wrong = tower._mul, []
+
+    def half_wrong(a, b, w):
+        wrong.append(a & 1)
+        return mul(a, b, w) ^ (a & 1)
+
+    monkeypatch.setattr(tower, "_mul", half_wrong)
+    (record,) = oracle.cross_check(3, samples=200, seed=5).records
+    assert 0 < sum(wrong) < 200
+    assert not record.ok and record.check_id == "oracle.l3.rec.sampled"
+    assert record.detail.startswith(
+        f"200 seeded pairs vs direct recursion (seed 5); {sum(wrong)} mismatches, first at a=0x"
+    )
+
+
 def test_cross_check_level_bound():
     with pytest.raises(LevelError):
         oracle.cross_check(7)
