@@ -18,7 +18,6 @@ import time
 from . import fermat, orders, tower
 from .errors import LevelError, MissingFactorization, NimtowerError, ParseError
 from .report import CheckRecord, VerificationReport
-from .value import Value
 
 _IDENTITY_CAP = 8  # default ceiling for identity/membership sweeps
 _HEAVY_CAP = 11  # default ceiling for quotient-check/corollary sweeps
@@ -40,75 +39,72 @@ def _load_table(path: str | None):
 
 
 # ---------------------------------------------------------------------------
-# Verification tasks.  All run in one process, in plan order, so that they
-# share the order engine's step memo; the report sorts the merged records.
+# Verification.  Each family of claims has its first level, its default
+# ceiling, whether `verify all` caps it at _IDENTITY_CAP, the check id of the
+# FAIL record that stands for a raised check, and its suite call, which reads
+# `orders.verify_*` when it runs.  example-l2 has no levels.  The table's
+# order is the plan order: every check runs in one process, in that order,
+# so that they share the order engine's step memo; the report sorts the
+# merged records.
+
+_FAMILIES = {
+    "lemma5": (1, _IDENTITY_CAP, False, "lemma5.i{:02d}",
+               lambda i, table: orders.verify_identities(i, 0, base=True, iterated=False)),
+    "lemma6": (2, _IDENTITY_CAP, True, "lemma6.i{:02d}",
+               lambda i, table: orders.verify_identities(i, i - 1, base=False, iterated=True)),
+    "thm1": (2, _IDENTITY_CAP, True, "thm1.i{:02d}",
+             lambda i, table: orders.verify_membership(1, i)),
+    "thm2": (2, _IDENTITY_CAP, True, "thm2.i{:02d}",
+             lambda i, table: orders.verify_membership(2, i)),
+    "thm5": (5, _HEAVY_CAP, False, "thm5.j{:02d}",
+             lambda j, table: orders.verify_thm5(j, table)),
+    "cor": (2, _HEAVY_CAP, False, "cor.i{:02d}",
+            lambda i, table: orders.verify_corollaries(i, table)),
+    "example-l2": (None, None, False, "l2ex",
+                   lambda _, table: orders.verify_closing_example(table)),
+}
 
 
-class _Task(Value):
-    """One call of the `orders` suite named `suite`, and the check id of the
-    FAIL record that reports it if it raises (`.error` turns `.factorization`
-    for a MissingFactorization).  The suite is looked up when the task runs,
-    so whatever `orders.<suite>` is bound to then is called."""
-
-    __slots__ = ("error_id", "suite", "args", "kwargs")
-    _defaults = {"kwargs": dict}
-
-
-def _run_verify_task(task: _Task) -> list[CheckRecord]:
+def _run_verify_task(family: str, level: int | None, table) -> list[CheckRecord]:
+    """The records of one suite call, or one FAIL record if it raises:
+    `<check id>.factorization` for a MissingFactorization, else `.error`."""
+    *_, check_id, suite = _FAMILIES[family]
     try:
-        return getattr(orders, task.suite)(*task.args, **task.kwargs).records
+        return suite(level, table).records
     except NimtowerError as exc:
-        check_id = task.error_id
-        if isinstance(exc, MissingFactorization):
-            check_id = check_id.removesuffix(".error") + ".factorization"
+        kind = "factorization" if isinstance(exc, MissingFactorization) else "error"
+        check_id = f"{check_id.format(level)}.{kind}"
         return [CheckRecord(check_id, False, f"{type(exc).__name__}: {exc}")]
 
 
-def _plan_tasks(target: str, level: int | None, max_level: int | None, table) -> list[_Task]:
-    """Expand a verify target into independent per-level tasks.
+def _plan_tasks(target: str, level: int | None, max_level: int | None) -> list[tuple]:
+    """Expand a verify target into (family, level) pairs, in table order.
 
-    A single family honors --level (one level) or --max-level (sweep up to
-    it), never both; defaults are level 8 for the identity/membership
-    families and 11 for the quotient-check/corollary families.  For `all`,
-    --level acts as --max-level, the default ceiling is 8, and the
-    lemma6/thm1/thm2 sweeps stay capped at 8 regardless (the dedicated
-    families reach the higher levels).  A family swept to a --max-level
-    below its first level plans nothing, which is refused as a LevelError.
+    A single family runs --level alone, or sweeps from its first level to
+    --max-level, else to its default ceiling; either flag below its first
+    level would check nothing and is refused as a LevelError.  `all` sweeps
+    every family from its first level to --max-level (--level acts as
+    --max-level), default _IDENTITY_CAP, the capped families stopping at
+    _IDENTITY_CAP whatever the flag (their own targets reach the higher
+    levels); it refuses nothing.
     """
-    if target == "all":
-        top = next((v for v in (max_level, level) if v is not None), _IDENTITY_CAP)
-
-    def levels(lo: int, default: int, capped: bool = False) -> range:
-        if target == "all":
-            return range(lo, (min(top, default) if capped else top) + 1)
-        if level is not None:
-            return range(level, level + 1)
-        if max_level is not None and max_level < lo:
-            raise LevelError(f"verify {target} starts at level {lo}, got --max-level {max_level}")
-        return range(lo, (default if max_level is None else max_level) + 1)
-
-    tasks: list[_Task] = []
-    if target in ("lemma5", "all"):
-        for i in levels(1, _IDENTITY_CAP):
-            kwargs = {"base": True, "iterated": False}
-            tasks.append(_Task(f"lemma5.i{i:02d}", "verify_identities", (i, 0), kwargs))
-    if target in ("lemma6", "all"):
-        for i in levels(2, _IDENTITY_CAP, capped=True):
-            kwargs = {"base": False, "iterated": True}
-            tasks.append(_Task(f"lemma6.i{i:02d}", "verify_identities", (i, i - 1), kwargs))
-    if target in ("thm1", "thm2", "all"):
-        for theorem in (1, 2) if target == "all" else (int(target[3]),):
-            for i in levels(2, _IDENTITY_CAP, capped=True):
-                tasks.append(_Task(f"thm{theorem}.i{i:02d}", "verify_membership", (theorem, i)))
-    if target in ("thm5", "all"):
-        for j in levels(5, _HEAVY_CAP):
-            tasks.append(_Task(f"thm5.j{j:02d}.error", "verify_thm5", (j, table)))
-    if target in ("cor", "all"):
-        for i in levels(2, _HEAVY_CAP):
-            tasks.append(_Task(f"cor.i{i:02d}.error", "verify_corollaries", (i, table)))
-    if target in ("example-l2", "all"):
-        tasks.append(_Task("l2ex.error", "verify_closing_example", (table,)))
-    return tasks
+    flag, given = ("--level", level) if level is not None else ("--max-level", max_level)
+    plan = []
+    for family, (first, ceiling, capped, _, _) in _FAMILIES.items():
+        if target not in (family, "all"):
+            continue
+        if first is None:
+            levels = (None,)
+        elif target == "all":
+            top = _IDENTITY_CAP if given is None else given
+            levels = range(first, (min(top, _IDENTITY_CAP) if capped else top) + 1)
+        elif given is not None and given < first:
+            raise LevelError(f"verify {family} starts at level {first}, got {flag} {given}")
+        else:
+            lo = first if level is None else level
+            levels = range(lo, (ceiling if given is None else given) + 1)
+        plan += [(family, i) for i in levels]
+    return plan
 
 
 def _emit_report(report: VerificationReport, timing: float | None = None) -> int:
@@ -228,9 +224,10 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     table = _load_table(args.factor_file)
-    tasks = _plan_tasks(args.target, args.level, args.max_level, table)
+    plan = _plan_tasks(args.target, args.level, args.max_level)
     started = time.perf_counter()
-    report = VerificationReport([r for task in tasks for r in _run_verify_task(task)])
+    records = [r for family, level in plan for r in _run_verify_task(family, level, table)]
+    report = VerificationReport(records)
     elapsed = time.perf_counter() - started if args.timing else None
     return _emit_report(report, elapsed)
 
@@ -336,12 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("verify", help="re-verify lemma/theorem/corollary claims")
-    p.add_argument(
-        "target",
-        choices=("lemma5", "lemma6", "thm1", "thm2", "thm5", "cor", "example-l2", "all"),
-    )
+    p.add_argument("target", choices=(*_FAMILIES, "all"))
     levels = p.add_mutually_exclusive_group()
-    levels.add_argument("--level", type=int, default=None, help="run a single level")
+    levels.add_argument("--level", type=int, default=None,
+                        help="run this one level; for `all`, sweep up to it")
     levels.add_argument("--max-level", type=int, default=None, help="sweep up to this level")
     add_factor_file(p)
     p.add_argument("--jobs", type=int, choices=(1,), default=1, help="only 1: checks share a memo")

@@ -511,7 +511,7 @@ class TowerElement(Value):
 
     @property
     def width(self) -> int:
-        return width_of(self.level)
+        return 1 << (self.level + 1)  # the constructor range-checked the level
 
     def __bool__(self) -> bool:
         return self.value != 0

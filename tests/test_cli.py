@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from nimtower import cli, oracle
+from nimtower import cli, oracle, tower
 from nimtower.cli import main, parse_nat
-from nimtower.errors import ParseError
+from nimtower.errors import ArithmeticFault, ParseError
 from nimtower.tower import TowerElement
 
 
@@ -288,20 +288,39 @@ def test_verify_jobs_accepts_only_1(capsys, jobs):
     assert exc.value.code == 2
 
 
+def _raising_at_width(kernel, width):
+    def kernel_or_fault(*args):
+        if args[-1] == width:
+            raise ArithmeticFault(f"injected at width {width}")
+        return kernel(*args)
+
+    return kernel_or_fault
+
+
 @pytest.mark.parametrize(
     "target, level, check_id",
     [
-        ("lemma5", "0", "lemma5.i00"),
-        ("lemma6", "0", "lemma6.i00"),
-        ("thm2", "1", "thm2.i01"),
-        ("cor", "1", "cor.i01.error"),
+        ("lemma5", "5", "lemma5.i05.error"),
+        ("lemma6", "5", "lemma6.i05.error"),
+        ("thm1", "5", "thm1.i05.error"),
+        ("thm2", "5", "thm2.i05.error"),
+        ("thm5", "5", "thm5.j05.error"),
+        ("cor", "5", "cor.i05.error"),
+        ("example-l2", None, "l2ex.error"),
+        ("thm5", "12", "thm5.j12.factorization"),
+        ("cor", "12", "cor.i12.factorization"),
     ],
 )
-def test_verify_error_records_name_their_family(capsys, target, level, check_id):
-    code, out, _ = run(capsys, "verify", target, "--level", level)
+def test_verify_error_records_name_their_family(capsys, monkeypatch, target, level, check_id):
+    # a suite that raises is one FAIL record, <family>.<i|j>NN.error, or
+    # .factorization when the factor table lacks the level
+    monkeypatch.setattr(tower, "norm_value", _raising_at_width(tower.norm_value, 64))  # L5
+    monkeypatch.setattr(tower, "_pow", _raising_at_width(tower._pow, 8))  # L2
+    code, out, _ = run(capsys, "verify", target, *(("--level", level) if level else ()))
     assert code == 1
     [line] = out.splitlines()
-    assert line.startswith(f"FAIL {check_id} LevelError: ")
+    kind = "MissingFactorization" if check_id.endswith(".factorization") else "ArithmeticFault"
+    assert line.startswith(f"FAIL {check_id} {kind}: ")
 
 
 def test_verify_all_level_acts_as_max_level(capsys):
@@ -365,11 +384,19 @@ def test_bench_above_the_level_ceiling_exit_1(capsys):
         (("verify", "thm5", "--max-level", "4"), 5),
         (("verify", "cor", "--max-level", "1"), 2),
         (("bench", "--max-level", "-1"), 0),
+        (("verify", "lemma5", "--level", "0"), 1),
+        (("verify", "lemma6", "--level", "1"), 2),
+        (("verify", "thm1", "--level", "1"), 2),
+        (("verify", "thm2", "--level", "1"), 2),
+        (("verify", "thm5", "--level", "4"), 5),
+        (("verify", "cor", "--level", "1"), 2),
     ],
-    ids=["lemma5", "lemma6", "thm1", "thm5", "cor", "bench"],
+    ids=["lemma5", "lemma6", "thm1", "thm5", "cor", "bench",
+         "lemma5-level", "lemma6-level", "thm1-level", "thm2-level", "thm5-level", "cor-level"],
 )
 def test_a_sweep_that_checks_nothing_exit_1(capsys, argv, first):
-    # an empty plan would print nothing and exit 0, as if it had passed
+    # an empty plan would print nothing and exit 0, as if it had passed; a
+    # single level below the family's first is refused the same way
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert "LevelError" in err and f"starts at level {first}," in err
@@ -416,6 +443,8 @@ def test_help_lists_flags():
     assert "--factor-file" in parser_help["order"]
     for flag in ("--level", "--max-level", "--factor-file", "--jobs", "--timing"):
         assert flag in parser_help["verify"]
+    # --level's two meanings, whatever the help's line breaks
+    assert "one level; for `all`, sweep up to it" in " ".join(parser_help["verify"].split())
     for flag in ("--check-primality", "--mr-rounds"):
         assert flag in parser_help["factors"]
     for flag in ("--samples", "--seed"):

@@ -758,7 +758,8 @@ def test_a_step_with_a_wrong_y_is_refused(table, monkeypatch):
         multiplicative_order(generator("c", 5, 5), group_order(5, table))
     with pytest.raises(ArithmeticFault, match="norm != 1 at level 5"):
         verify_thm5(5, table)
-    [record] = cli._run_verify_task(cli._Task("thm5.j05.factorization", "verify_thm5", (5,)))
+    [record] = cli._run_verify_task("thm5", 5, None)
+    assert record.check_id == "thm5.j05.error"
     assert not record.ok and record.detail.startswith("ArithmeticFault: conj(x)/x has norm != 1")
 
 
@@ -800,4 +801,4 @@ def test_a_wrong_norm_chain_link_is_refused(monkeypatch, capsys):
     with pytest.raises(ArithmeticFault, match=r"norm != x\*conj\(x\) at level 5"):
         verify_identities(5, 4)
     assert cli.main(["verify", "thm1", "--level", "5"]) == 1
-    assert capsys.readouterr().out.startswith("FAIL thm1.i05 ArithmeticFault: norm != x*conj(x)")
+    assert capsys.readouterr().out.startswith("FAIL thm1.i05.error ArithmeticFault: norm != x*conj(x)")

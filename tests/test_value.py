@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from nimtower import cli, expr
+from nimtower import expr
 from nimtower.errors import LevelError, NotInField, ValidationError
 from nimtower.fermat import FactoredOrder, FermatFactorization
 from nimtower.orders import AlphaChain
@@ -27,11 +27,6 @@ SAMPLES = [
         ([CheckRecord("l2ex.order-sum", False, "")],),
         "VerificationReport(records=[CheckRecord(check_id='l2ex.order-sum', ok=False, detail='')])",
     ),
-    (
-        cli._Task,
-        ("lemma5.i02", "verify_identities", (2, 0), {"depth": 1}),
-        "_Task(error_id='lemma5.i02', suite='verify_identities', args=(2, 0), kwargs={'depth': 1})",
-    ),
     (expr.Sum, ((expr.CAtom(1), expr.BitAtom(1)),), "Sum(terms=(CAtom(k=1), BitAtom(value=1)))"),
     (expr.Prod, ((expr.AAtom(2), expr.HexAtom(31, 3)),), "Prod(factors=(AAtom(k=2), HexAtom(value=31, level=3)))"),
     (expr.Pow, (expr.CAtom(3), expr.IntLit(5)), "Pow(base=CAtom(k=3), exponent=IntLit(value=5))"),
@@ -45,12 +40,12 @@ SAMPLES = [
     (expr.IntDiv, (expr.FermatRef(5), expr.IntLit(641)), "IntDiv(left=FermatRef(j=5), right=IntLit(value=641))"),
 ]
 IDS = [cls.__name__ for cls, _, _ in SAMPLES]
-UNHASHABLE = {VerificationReport, cli._Task}  # a list field; a dict field
+UNHASHABLE = {VerificationReport}  # a list field
 
 
 def test_samples_cover_every_value_class():
     assert {cls for cls, _, _ in SAMPLES} == set(Value.__subclasses__())
-    assert len(SAMPLES) == 18
+    assert len(SAMPLES) == 17
 
 
 @pytest.mark.parametrize("cls, fields, text", SAMPLES, ids=IDS)
@@ -98,8 +93,6 @@ def test_defaults_are_fresh_per_instance():
     r1, r2 = VerificationReport(), VerificationReport()
     r1.add("a", True)
     assert r1.records == [CheckRecord("a", True, "")] and r2.records == []
-    t1, t2 = cli._Task("e", "s", ()), cli._Task("e", "s", ())
-    assert t1.kwargs == t2.kwargs == {} and t1.kwargs is not t2.kwargs
 
 
 @pytest.mark.parametrize("cls, fields, text", SAMPLES, ids=IDS)
