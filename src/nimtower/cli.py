@@ -82,7 +82,8 @@ def _plan_tasks(target: str, level: int | None, max_level: int | None) -> list[t
 
     A single family runs --level alone, or sweeps from its first level to
     --max-level, else to its default ceiling; either flag below its first
-    level would check nothing and is refused as a LevelError.  `all` sweeps
+    level would check nothing and is refused as a LevelError, as is either
+    flag for example-l2, which has no levels.  `all` sweeps
     every family from its first level to --max-level (--level acts as
     --max-level), default _IDENTITY_CAP, the capped families stopping at
     _IDENTITY_CAP whatever the flag (their own targets reach the higher
@@ -93,13 +94,14 @@ def _plan_tasks(target: str, level: int | None, max_level: int | None) -> list[t
     for family, (first, ceiling, capped, _, _) in _FAMILIES.items():
         if target not in (family, "all"):
             continue
+        if target != "all" and given is not None and (first is None or given < first):
+            where = "has no levels" if first is None else f"starts at level {first}"
+            raise LevelError(f"verify {family} {where}, got {flag} {given}")
         if first is None:
             levels = (None,)
         elif target == "all":
             top = _IDENTITY_CAP if given is None else given
             levels = range(first, (min(top, _IDENTITY_CAP) if capped else top) + 1)
-        elif given is not None and given < first:
-            raise LevelError(f"verify {family} starts at level {first}, got {flag} {given}")
         else:
             lo = first if level is None else level
             levels = range(lo, (ceiling if given is None else given) + 1)

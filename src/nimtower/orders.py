@@ -13,8 +13,11 @@ thm5 do at level i, so one bounded memo keeps that order (for orders,
 steps at levels >= 4) and certifies each y once: norm(y) = y^(N_j) must
 be 1.  As 3 divides no N_j, y^3 has the order of y, so the memo files
 each answer for y^3 too: below level i, a_i's descent asks about y^3,
-y^9, ... of the y that c_i's asked about, and reuses its steps.  The
-cofactor powers y^(g/p) come from one product tree.
+y^9, ... of the y that c_i's asked about, and reuses its steps.  The memo
+also files each step under the value x that entered it, so a repeated
+order, alpha chain or minimal exponent reads its steps without splitting
+x into its norm and y.  The cofactor powers y^(g/p) come from one product
+tree.
 
 Every subfield question is answered by the same two facts.  conj fixes
 exactly L_(j-1), so x^d lies one level down exactly when (conj(x)/x)^d = 1:
@@ -49,9 +52,9 @@ from .report import VerificationReport
 from .tower import LOG_TABLE_BITS, TowerElement, generator, leaf_order, width_of
 from .value import Value
 
-# Descent steps kept by _y_step, filed cubes included, least recently used
-# dropped first: enough for every distinct step of a verify sweep or a
-# query-mix pass.
+# Entries of the step memo, of both kinds and filed cubes included, least
+# recently used dropped first: enough for every distinct step of a verify
+# sweep or a query-mix pass.
 _STEP_CACHE_SIZE = 1024
 _NOT_AN_EXPONENT = "x^n != 1 for the claimed group order; wrong factor table or level"
 
@@ -86,22 +89,43 @@ def _down_step(v: int, level: int, primes: tuple[int, ...]) -> tuple[int, int]:
     """One step of the descent for nonzero v in L_level: the norm
     v*conj(v) = v^(N_level), which lies one level down, and the order d of
     y = conj(v)/v from primes `primes` of N_level, the smallest d > 0 with
-    v^d in L_(level-1)."""
-    y, norm = tower.norm_split_values(v, width_of(level))
-    return norm, _y_step(y, level, primes)
+    v^d in L_(level-1).  A v stepped before is one read of the step memo,
+    with no split; its entry is filed only once _y_step has certified y.
+    """
+    key = (v, level, primes, "v")
+    step = _read_step(key)
+    if step is None:
+        y, norm = tower.norm_split_values(v, width_of(level))
+        step = (norm, _y_step(y, level, primes))
+        _file_step(key, step)
+    return step
 
 
-# The step memo: (y, level, primes) -> [order of y, whether its cube is
-# still to be filed], least recently used first, and its hits and misses.
-# It takes no lock: each OrderedDict call is atomic, two threads that race
-# compute or file the same answer, and only the counters may miss a count.
+# The step memo, least recently used first, and its hits and misses:
+# (y, level, primes) -> [order of y, whether its cube is still to be filed],
+# and (v, level, primes, "v") -> (norm of v, order of conj(v)/v), the "v"
+# keeping a value apart from an equal y.  It takes no lock: each OrderedDict
+# call is atomic, two threads that race compute or file the same answer,
+# and only the counters may miss a count.
 _STEPS: OrderedDict = OrderedDict()
 _STEP_COUNTS = [0, 0]
 
 
+def _read_step(key: tuple):
+    """The entry filed under key, marked as recently used, or None."""
+    entry = _STEPS.get(key)
+    if entry is not None:
+        _STEP_COUNTS[0] += 1
+        try:
+            _STEPS.move_to_end(key)
+        except KeyError:  # dropped by another thread since the read
+            pass
+    return entry
+
+
 def _y_step(y: int, level: int, primes: tuple[int, ...]) -> int:
-    """_y_order behind a bounded memo, least recently used dropped first,
-    filed entries included.
+    """_y_order behind the bounded step memo, least recently used dropped
+    first, filed entries of both kinds included.
 
     On its first use an entry also files its answer under (y^3, level,
     primes), y^3 being one square and one multiply.  Lemma 5 makes that
@@ -115,17 +139,11 @@ def _y_step(y: int, level: int, primes: tuple[int, ...]) -> int:
     no step of the descent has the prime 3; the guard is for direct calls.
     """
     key = (y, level, primes)
-    entry = _STEPS.get(key)
+    entry = _read_step(key)
     if entry is None:
         _STEP_COUNTS[1] += 1
         entry = [_y_order(y, level, primes), 3 not in primes]
         _file_step(key, entry)
-    else:
-        _STEP_COUNTS[0] += 1
-        try:
-            _STEPS.move_to_end(key)
-        except KeyError:  # dropped by another thread since the read
-            pass
     if entry[1]:
         entry[1] = False
         w = width_of(level)
@@ -135,7 +153,7 @@ def _y_step(y: int, level: int, primes: tuple[int, ...]) -> int:
     return entry[0]
 
 
-def _file_step(key: tuple, entry: list) -> None:
+def _file_step(key: tuple, entry: list | tuple) -> None:
     _STEPS[key] = entry
     if len(_STEPS) > _STEP_CACHE_SIZE:
         _STEPS.popitem(last=False)

@@ -402,6 +402,14 @@ def test_a_sweep_that_checks_nothing_exit_1(capsys, argv, first):
     assert "LevelError" in err and f"starts at level {first}," in err
 
 
+@pytest.mark.parametrize("flag, level", [("--level", "25"), ("--max-level", "-1")])
+def test_example_l2_refuses_any_level(capsys, flag, level):
+    # the example has no levels, so a level flag would be silently dropped
+    code, out, err = run(capsys, "verify", "example-l2", flag, level)
+    assert code == 1 and out == ""
+    assert f"LevelError: verify example-l2 has no levels, got {flag} {level}" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

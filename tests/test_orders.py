@@ -594,7 +594,8 @@ def test_step_memo_is_bounded(table):
 
 
 def test_corollaries_and_thm5_share_the_level_step(table, monkeypatch):
-    # c_i, a_i, c_i*c_0, a_i*a_0 and thm5 all ask about conj(c_i)/c_i
+    # c_i, a_i, c_i*c_0, a_i*a_0 and thm5 all ask about conj(c_i)/c_i, and
+    # thm5 after cor asks about c_i itself again: one read, with no split
     level = 6
     w = width_of(level)
     y, _ = tower.norm_split_values(generator("c", level, level).value, w)
@@ -606,10 +607,79 @@ def test_corollaries_and_thm5_share_the_level_step(table, monkeypatch):
     orders._y_step.cache_clear()
     assert verify_corollaries(level, table).passed
     before = orders._y_step.cache_info()
+    calls = count_tower_calls(monkeypatch, ("norm_split_values",))
     assert verify_thm5(level, table).passed
     after = orders._y_step.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert calls == {"norm_split_values": 0}
     assert computed.count((y, w)) == 1  # one certifying norm for the one step computed
+
+
+_TOWER_KERNELS = ("_mul", "_square", "_mul_top", "_prepare", "_mul_prepared", "_inv",
+                  "_pow", "_powers", "norm_value", "norm_split_values")
+
+
+def count_tower_calls(monkeypatch, names=_TOWER_KERNELS) -> dict[str, int]:
+    """Count the calls made through `tower.<name>` from now on, per name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        kernel = getattr(tower, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(tower, name, counted)
+    return calls
+
+
+def test_a_repeated_question_is_one_read_per_step(table, monkeypatch):
+    # the second order, alpha chain or minimal exponent reads every step
+    # it takes under the value that entered it: no split, no kernel
+    level = 6
+    x = tower.random_element(level, 7100)
+    n = group_order(level, table)
+    first = (multiplicative_order(x, n), alpha_chain(level, "a", table),
+             minimal_subfield_exponent(level, table))
+    calls = count_tower_calls(monkeypatch)
+    again = (multiplicative_order(x, n), alpha_chain(level, "a", table),
+             minimal_subfield_exponent(level, table))
+    assert again == first
+    assert calls == dict.fromkeys(_TOWER_KERNELS, 0)
+
+
+def test_a_step_read_by_its_value_equals_a_fresh_one(table, monkeypatch):
+    # every value is stepped once, then read back with the split patched
+    # out, and what it reads equals what a cleared memo computes for it
+    for level in range(4, 9):
+        primes = fermat.factorization(table, level).factors
+        values = [generator("c", level, level).value, generator("a", level, level).value,
+                  tower.random_element(level, 7200 + level).value,
+                  tower.random_element(level - 1, 7300 + level).lift(level).value]
+        filed = [orders._down_step(v, level, primes) for v in values]
+        with monkeypatch.context() as patch:
+            calls = count_tower_calls(patch)
+            read = [orders._down_step(v, level, primes) for v in values]
+        assert read == filed and calls == dict.fromkeys(_TOWER_KERNELS, 0), level
+        for v, step in zip(values, read):
+            orders._y_step.cache_clear()
+            assert orders._down_step(v, level, primes) == step, (level, v)
+
+
+def test_a_value_equal_to_a_filed_y_gets_its_own_step(table):
+    # y = conj(x)/x has norm 1, and conj(y)/y = y^-2 has the order of y;
+    # stepped as a value, y gets (1, that order), not the entry filed for
+    # it as x's y
+    for level in range(4, 8):
+        primes = fermat.factorization(table, level).factors
+        x = tower.random_element(level, 7400 + level).value
+        y, _ = tower.norm_split_values(x, width_of(level))
+        orders._y_step.cache_clear()
+        _, d = orders._down_step(x, level, primes)
+        assert orders._down_step(y, level, primes) == (1, d), level
+        assert orders._y_step.cache_info().misses == 2, level
+        orders._y_step.cache_clear()
+        assert orders._down_step(y, level, primes) == (1, d), level
 
 
 def test_a_filed_step_equals_a_fresh_one(table):
@@ -705,7 +775,7 @@ def count_kernel_calls(max_level: int) -> tuple[int, dict[str, int]]:
 def test_verify_all_to_level_9_makes_the_pinned_kernel_calls():
     # CI pins the counts at level 11 through the same helper
     rc, counts = count_kernel_calls(9)
-    assert rc == 1 and list(counts.values()) == [1821, 620, 207, 28, 253, 89]
+    assert rc == 1 and list(counts.values()) == [1761, 580, 207, 28, 233, 69]
 
 
 def test_the_step_memo_is_safe_under_concurrency(table, monkeypatch):
